@@ -8,8 +8,6 @@
 //                                         # the fleet-scaling sweep
 //   ./bench_serve --shards=4 --check      # pin flag-set identity vs the
 //                                         # first shard count in the list
-//   ./bench_serve --executor=lanes        # the serial-lane baseline the
-//                                         # task-DAG pipeline is compared to
 //   ./bench_serve --method=GBTR --rounds=10 --dataset=google
 //                 --json=BENCH_serve.json   # the CI smoke invocation
 //
@@ -18,8 +16,8 @@
 // (hash|least-loaded|affinity), --check (assert per-job records and the
 // flag set are identical across the --shards list; non-zero exit on drift),
 // --method (Table-3 name), --dataset=google|alibaba|both, --threads
-// (serving workers PER SHARD, 0 = hw), --executor=dag|lanes, --window,
-// --rounds (override boosting rounds; 0 keeps the tuned config),
+// (serving workers PER SHARD, 0 = hw), --rounds (override boosting rounds;
+// 0 keeps the tuned config),
 // --service_rate + --shed_budget (enable the modeled per-shard backlog and
 // QoS-tiered load-shedding; sheds change flags, so --check refuses them),
 // --seed, --json=<path> (machine-readable results; what CI uploads as the
@@ -35,7 +33,6 @@
 
 #include "bench_util.h"
 #include "common/table.h"
-#include "core/task_dag.h"
 #include "kernel/kernel.h"
 #include "serve/placement.h"
 #include "serve/shard_pool.h"
@@ -90,9 +87,6 @@ int main(int argc, char** argv) {
   const auto dataset = bench::arg_string(argc, argv, "dataset", "both");
   const auto threads =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "threads", 0));
-  const auto executor = bench::arg_string(argc, argv, "executor", "dag");
-  const auto window =
-      static_cast<std::size_t>(bench::arg_long(argc, argv, "window", 4));
   const auto rounds = bench::arg_long(argc, argv, "rounds", 0);
   const auto service_rate = std::strtod(
       bench::arg_string(argc, argv, "service_rate", "0").c_str(), nullptr);
@@ -102,14 +96,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(bench::arg_long(argc, argv, "seed", 0));
   const auto json_path = bench::arg_string(argc, argv, "json", "");
 
-  if (executor != "dag" && executor != "lanes") {
-    std::fprintf(stderr, "unknown --executor=%s (dag|lanes)\n",
-                 executor.c_str());
-    return 2;
-  }
-  const auto executor_mode = executor == "dag"
-                                 ? serve::ExecutorMode::kDag
-                                 : serve::ExecutorMode::kSerialLanes;
   if (check && shed_budget > 0) {
     std::fprintf(stderr,
                  "--check with --shed_budget: sheds change flags by design; "
@@ -123,17 +109,14 @@ int main(int argc, char** argv) {
 
   std::printf(
       "bench_serve: %s, RefitPolicy::kIncremental, batch arrivals, "
-      "executor=%s, window=%zu, workers/shard=%zu (0 = hardware), "
-      "placement=%s, kernel backend: %s\n",
-      method_name.c_str(), executor.c_str(), window, threads,
+      "workers/shard=%zu (0 = hardware), placement=%s, kernel backend: %s\n",
+      method_name.c_str(), threads,
       placement_name.c_str(), kernel::backend_name());
 
   bench::JsonWriter json;
   json.begin_object();
   json.key("bench").value("serve");
   json.key("method").value(method_name);
-  json.key("executor").value(executor);
-  json.key("window").value(window);
   json.key("threads").value(threads);
   json.key("placement").value(placement_name);
   json.key("kernel_backend").value(kernel::backend_name());
@@ -151,8 +134,8 @@ int main(int argc, char** argv) {
     TextTable table({"jobs", "shards", "ckpts", "flags", "shed", "ckpt/s",
                      "p50 ms", "p99 ms", "shard p99 ms", "peak backlog",
                      "wall s"});
-    // Per-stage busy time as share of total stage work, one row per run —
-    // the pipelining story: which stage the wall-clock actually goes to.
+    // Per-stage busy time as share of total stage work, one row per run:
+    // which stage the wall-clock actually goes to.
     TextTable stages({"jobs", "shards", "featurize", "refit", "predict",
                       "flag", "busy s"});
     json.begin_object();
@@ -169,8 +152,6 @@ int main(int argc, char** argv) {
         serve::ShardedMonitorConfig config;
         config.shards = shards;
         config.threads = threads;
-        config.executor = executor_mode;
-        config.window = window;
         config.placement = serve::placement_by_name(placement_name);
         config.service_rate = service_rate;
         config.shed_budget = shed_budget;
@@ -205,7 +186,7 @@ int main(int argc, char** argv) {
         for (const double sec : s.stage_seconds) busy += sec;
         std::vector<std::string> row = {std::to_string(s.jobs),
                                         std::to_string(shards)};
-        for (std::size_t i = 0; i < core::kStageCount; ++i) {
+        for (std::size_t i = 0; i < serve::kStageCount; ++i) {
           row.push_back(
               TextTable::num(
                   busy > 0.0 ? 100.0 * s.stage_seconds[i] / busy : 0.0, 1) +
@@ -228,8 +209,8 @@ int main(int argc, char** argv) {
         json.key("peak_backlog").value(s.peak_backlog);
         json.key("wall_seconds").value(s.wall_seconds);
         json.key("stage_seconds").begin_object();
-        for (std::size_t i = 0; i < core::kStageCount; ++i) {
-          json.key(core::stage_name(static_cast<core::Stage>(i)))
+        for (std::size_t i = 0; i < serve::kStageCount; ++i) {
+          json.key(serve::stage_name(static_cast<serve::Stage>(i)))
               .value(s.stage_seconds[i]);
         }
         json.end_object();

@@ -32,7 +32,7 @@
 //     the fact, with the justification in a comment at the call site.
 //
 // ---------------------------------------------------------------------------
-// LOCK ORDERING ACROSS THE CONCURRENT LAYERS (pool → DAG → engine → fleet)
+// LOCK ORDERING ACROSS THE CONCURRENT LAYERS (pool → engine → fleet)
 // ---------------------------------------------------------------------------
 // Every lock in src/ is LEAF-SCOPED by design: no layer calls into another
 // layer while holding its own lock, because all cross-layer transfer happens
@@ -51,16 +51,14 @@
 //       ThreadPool LoopState. Leaf. Per-parallel_for completion/error
 //       channel; only ever held around error recording and the completion
 //       notify/wait.
-//   [mutex] core/task_dag.cpp::mutex_
-//       core::TaskDag (Impl). Leaf. Graph bookkeeping only. The stage
-//       runner, on_retire and on_error callbacks all run with the registry
-//       lock RELEASED; pump loops hold it only between tasks.
 //   [mutex] serve/shard_engine.cpp::mutex_
 //       serve::ShardEngine (Impl) — the execution core one StreamMonitor
-//       shard runs on. Leaf. The FlagSink is deliberately invoked from the
-//       Flag stage BEFORE the event retires and OUTSIDE this lock, so a
-//       sink may call back into low_watermark() (which takes it) freely;
-//       the retired/wait_handoff hooks likewise run unlocked.
+//       shard runs on. Leaf. Guards the lanes, the per-worker lane deques
+//       and the in-flight accounting; stages always run with it released.
+//       The FlagSink is deliberately invoked from the Flag stage BEFORE the
+//       event retires and OUTSIDE this lock, so a sink may call back into
+//       low_watermark() (which takes it) freely; the retired/wait_handoff
+//       hooks likewise run unlocked.
 //   [mutex] serve/cluster_sink.h::mutex_
 //       serve::LiveClusterFeed. The ONE nested acquisition in the codebase:
 //       sink()/finish() hold it while calling
@@ -81,8 +79,8 @@
 // their owner (LiveClusterFeed::mutex_).
 //
 // A thread therefore holds at most two locks at once (feed → engine), and
-// the pool → DAG → engine → fleet layering can never deadlock: moving DOWN
-// the layering (worker runs pump, pump runs stage, stage emits to sink) is
+// the pool → engine → fleet layering can never deadlock: moving DOWN
+// the layering (worker runs lane, lane runs stage, stage emits to sink) is
 // always done lock-free, and the single UP edge (sink querying the monitor)
 // acquires in a fixed order. Any new nesting must be recorded here — the
 // thread-safety CI leg plus this table is the contract TSan spot-checks.

@@ -70,7 +70,7 @@ class ThreadPool {
   ///
   /// Unlike parallel_for, there is no completion channel. A detached task
   /// SHOULD keep its own try/catch and completion accounting (see the
-  /// serving executors); an exception that does escape one does not unwind
+  /// serving engine); an exception that does escape one does not unwind
   /// the worker — the pool catches it, records the first such exception
   /// under mutex_, and enters a POISONED state: the next submit() or
   /// parallel_for() call rethrows the recorded exception on the caller (and

@@ -90,9 +90,7 @@ void FitSession::reset() {
   advanced_ = false;
   newly_finished_.clear();
   changed_rows_.clear();
-  slots_[0].invalidate();
-  slots_[1].invalidate();
-  cur_ = 0;
+  blocks_.invalidate();
 }
 
 // Shared tail of observe() and promote(): computes the delta of `view`
@@ -119,43 +117,39 @@ void FitSession::observe(const trace::CheckpointView& view) {
   const bool rebuild = !(&view.store() == stream_ &&
                          t_ != trace::kNoCheckpoint && view.index() >= t_);
   adopt_view(view);
-  if (rebuild) current().invalidate();
-  ensure_stream(view, &current());
+  if (rebuild) blocks_.invalidate();
+  ensure_stream(view);
 }
 
-void FitSession::ensure_stream(const trace::CheckpointView& view,
-                               Blocks* slot) {
-  if (slot->stream_tag != &view.store()) {
-    slot->invalidate();
-    slot->stream_tag = &view.store();
+void FitSession::ensure_stream(const trace::CheckpointView& view) {
+  if (blocks_.stream_tag != &view.store()) {
+    blocks_.invalidate();
+    blocks_.stream_tag = &view.store();
   }
 }
 
 void FitSession::stage(const trace::CheckpointView& view, unsigned mask) {
-  Blocks& slot = slots_[view.index() % 2];
-  ensure_stream(view, &slot);
-  if (mask & kFinishedBlock) assemble_fin(view, &slot);
-  if (mask & kMemberBlock) assemble_member(view, &slot);
-  if (mask & kSnapshotBlock) assemble_snapshot(view, &slot);
-  slot.staged_index = view.index();
+  ensure_stream(view);
+  if (mask & kFinishedBlock) assemble_fin(view);
+  if (mask & kMemberBlock) assemble_member(view);
+  if (mask & kSnapshotBlock) assemble_snapshot(view);
+  blocks_.staged_index = view.index();
 }
 
 void FitSession::promote(const trace::CheckpointView& view) {
-  Blocks& slot = slots_[view.index() % 2];
-  if (slot.stream_tag != &view.store() ||
-      slot.staged_index != view.index()) {
+  if (blocks_.stream_tag != &view.store() ||
+      blocks_.staged_index != view.index()) {
     // Nothing (or a different checkpoint) staged: behave like the
     // monolithic path.
     observe(view);
     return;
   }
   // The staged blocks are bitwise what observe(view) would assemble, so
-  // adoption is just a slot flip plus the delta bookkeeping — computed here,
-  // not at stage() time, because only the refit chain knows which
-  // checkpoint was REALLY observed last (skipped refits never promote).
+  // adoption is just the delta bookkeeping — computed here, not at stage()
+  // time, because only the refit knows which checkpoint was REALLY observed
+  // last (skipped refits never promote).
   adopt_view(view);
-  cur_ = view.index() % 2;
-  slot.staged_index = trace::kNoCheckpoint;  // consumed
+  blocks_.staged_index = trace::kNoCheckpoint;  // consumed
 }
 
 const trace::CheckpointView* FitSession::view() const {
@@ -164,9 +158,8 @@ const trace::CheckpointView* FitSession::view() const {
   return view_;
 }
 
-void FitSession::assemble_fin(const trace::CheckpointView& view,
-                              Blocks* slot) {
-  if (slot->fin_as_of == view.index()) return;
+void FitSession::assemble_fin(const trace::CheckpointView& view) {
+  if (blocks_.fin_as_of == view.index()) return;
   // The seed's exact assembly under BOTH policies: finished rows gathered in
   // ascending task id. Bitwise-identical blocks are what let an incremental
   // refresh rebuild the exact reference ensemble (boosted-tree fits are
@@ -174,16 +167,15 @@ void FitSession::assemble_fin(const trace::CheckpointView& view,
   // O(n_fin·d) copy — noise next to any fit on the block — so kIncremental
   // buys nothing by appending here and instead hands warm models the splice
   // positions (refit_finished_gbt).
-  view.gather_rows(view.finished(), &slot->x_fin);
-  view.finished_latencies(&slot->y_fin);
+  view.gather_rows(view.finished(), &blocks_.x_fin);
+  view.finished_latencies(&blocks_.y_fin);
   const auto fin = view.finished();
-  slot->fin_ids.assign(fin.begin(), fin.end());
-  slot->fin_as_of = view.index();
+  blocks_.fin_ids.assign(fin.begin(), fin.end());
+  blocks_.fin_as_of = view.index();
 }
 
-void FitSession::assemble_member(const trace::CheckpointView& view,
-                                 Blocks* slot) {
-  if (slot->member_as_of == view.index()) return;
+void FitSession::assemble_member(const trace::CheckpointView& view) {
+  if (blocks_.member_as_of == view.index()) return;
   // The seed's exact propensity assembly under BOTH policies: finished rows
   // (label 1) followed by running rows (label 0). An id-ordered design would
   // be cheaper to maintain from the delta, but the assembly is an O(n·d)
@@ -193,68 +185,67 @@ void FitSession::assemble_member(const trace::CheckpointView& view,
   // chaotic reweighting consumers. Same bytes, same model.
   const auto fin = view.finished();
   const auto run = view.running();
-  slot->x_member.reset(view.feature_count());
-  slot->x_member.reserve_rows(fin.size() + run.size());
-  slot->y_member.clear();
-  slot->y_member.reserve(fin.size() + run.size());
+  blocks_.x_member.reset(view.feature_count());
+  blocks_.x_member.reserve_rows(fin.size() + run.size());
+  blocks_.y_member.clear();
+  blocks_.y_member.reserve(fin.size() + run.size());
   for (const auto task : fin) {
-    slot->x_member.push_row(view.row(task));
-    slot->y_member.push_back(1.0);
+    blocks_.x_member.push_row(view.row(task));
+    blocks_.y_member.push_back(1.0);
   }
   for (const auto task : run) {
-    slot->x_member.push_row(view.row(task));
-    slot->y_member.push_back(0.0);
+    blocks_.x_member.push_row(view.row(task));
+    blocks_.y_member.push_back(0.0);
   }
-  slot->member_as_of = view.index();
+  blocks_.member_as_of = view.index();
 }
 
-void FitSession::assemble_snapshot(const trace::CheckpointView& view,
-                                   Blocks* slot) {
-  if (slot->snapshot_as_of == view.index()) return;
-  if (incremental() && slot->snapshot_as_of != trace::kNoCheckpoint &&
-      slot->snapshot_as_of < view.index()) {
+void FitSession::assemble_snapshot(const trace::CheckpointView& view) {
+  if (blocks_.snapshot_as_of == view.index()) return;
+  if (incremental() && blocks_.snapshot_as_of != trace::kNoCheckpoint &&
+      blocks_.snapshot_as_of < view.index()) {
     // Patch exactly the rows the store change-detected since the checkpoint
-    // THIS slot last reflected (two checkpoints back on the staged path);
-    // every other row is bitwise what a full rebuild would write.
-    view.delta_since(slot->snapshot_as_of, nullptr, &slot->delta_scratch);
-    for (const auto task : slot->delta_scratch) {
+    // the snapshot last reflected; every other row is bitwise what a full
+    // rebuild would write.
+    view.delta_since(blocks_.snapshot_as_of, nullptr, &blocks_.delta_scratch);
+    for (const auto task : blocks_.delta_scratch) {
       const auto src = view.row(task);
-      std::copy(src.begin(), src.end(), slot->snapshot.row(task).begin());
+      std::copy(src.begin(), src.end(), blocks_.snapshot.row(task).begin());
     }
   } else {
-    view.snapshot(&slot->snapshot);
+    view.snapshot(&blocks_.snapshot);
   }
-  slot->snapshot_as_of = view.index();
+  blocks_.snapshot_as_of = view.index();
 }
 
 const Matrix& FitSession::x_fin() {
-  assemble_fin(*view(), &current());
-  return current().x_fin;
+  assemble_fin(*view());
+  return blocks_.x_fin;
 }
 
 std::span<const double> FitSession::y_fin() {
   x_fin();
-  return current().y_fin;
+  return blocks_.y_fin;
 }
 
 std::span<const std::size_t> FitSession::fin_ids() {
   x_fin();
-  return current().fin_ids;
+  return blocks_.fin_ids;
 }
 
 const Matrix& FitSession::x_member() {
-  assemble_member(*view(), &current());
-  return current().x_member;
+  assemble_member(*view());
+  return blocks_.x_member;
 }
 
 std::span<const double> FitSession::y_member() {
   x_member();
-  return current().y_member;
+  return blocks_.y_member;
 }
 
 const Matrix& FitSession::snapshot() {
-  assemble_snapshot(*view(), &current());
-  return current().snapshot;
+  assemble_snapshot(*view());
+  return blocks_.snapshot;
 }
 
 }  // namespace nurd::core

@@ -111,17 +111,13 @@ enum BlockMask : unsigned {
 /// the blocks you need — each is assembled lazily, at most once per
 /// checkpoint, into reused capacity.
 ///
-/// Staged (the task-DAG pipeline): the Featurize stage calls
-/// stage(view, mask) to assemble blocks AHEAD of the refit that consumes
-/// them, and the Refit stage calls promote(view) to adopt them. Storage is
-/// double-buffered — checkpoint t stages into slot t % 2 — so staging
-/// checkpoint t+1 never touches the blocks checkpoint t's refit is still
-/// reading. The executor's Featurize(t) ◄─ Refit(t-2) edge is what makes the
-/// slot reuse safe; a FitSession therefore supports featurize_ahead <= 2.
-/// Every block a stage/promote pair produces is bitwise identical to what
-/// observe() would have assembled (same gathers, same order; the snapshot
-/// patches from its own slot's delta), so the policy contract above holds
-/// unchanged on the staged path.
+/// Staged (the predictor's featurize/refit hooks): the Featurize stage calls
+/// stage(view, mask) to assemble the blocks the refit will consume, and the
+/// Refit stage calls promote(view) to adopt them, back to back. Every block
+/// a stage/promote pair produces is bitwise identical to what observe()
+/// would have assembled (same gathers, same order; the snapshot patches
+/// from the delta since the checkpoint it last reflected), so the policy
+/// contract above holds unchanged on the staged path.
 class FitSession {
  public:
   explicit FitSession(RefitPolicy policy = RefitPolicy::kFull)
@@ -139,24 +135,19 @@ class FitSession {
   /// construction).
   void observe(const trace::CheckpointView& view);
 
-  /// (staged pipeline) Assembles the blocks in `mask` for `view` into the
-  /// slot for view.index(), leaving whatever the current checkpoint's
-  /// readers see untouched — safe to run concurrently with block reads for
-  /// a DIFFERENT checkpoint, per the double-buffer contract above. Calls for
-  /// one session must themselves be serialized (the executor's Featurize
-  /// chain does this). The view must stay alive through the promote/read
-  /// cycle for this checkpoint (the serving layer's scratch ring satisfies
-  /// this).
+  /// (staged pipeline) Assembles the blocks in `mask` for `view`, ahead of
+  /// the promote(view) that adopts them. Blocks of the previously observed
+  /// checkpoint are overwritten, so no reads of them may follow. The view
+  /// must stay alive through the promote/read cycle for this checkpoint.
   void stage(const trace::CheckpointView& view, unsigned mask);
 
-  /// (staged pipeline) Adopts the slot staged for `view` as the current
+  /// (staged pipeline) Adopts the blocks staged for `view` as the current
   /// checkpoint — the blocks observe(view) would have assembled, already
   /// built — and recomputes the delta markers (advanced / newly_finished /
   /// changed_rows) against the checkpoint actually observed last, which may
   /// be further back than view.index()-1 when intervening refits were
   /// skipped. Falls back to a plain observe(view) when nothing (or a
-  /// different checkpoint) is staged in the slot. Must run on the refit
-  /// chain, like observe().
+  /// different checkpoint) is staged.
   void promote(const trace::CheckpointView& view);
 
   /// Checkpoint index of the last observe.
@@ -207,11 +198,9 @@ class FitSession {
   const Matrix& snapshot();
 
  private:
-  // One buffer of assembled design blocks. The session keeps two: the
-  // monolithic path only ever touches the current one; the staged path
-  // alternates by checkpoint parity. Each block carries the checkpoint it
-  // reflects (as_of markers) plus a stream tag, so a slot is valid for reuse
-  // exactly when both match.
+  // The assembled design blocks. Each block carries the checkpoint it
+  // reflects (as_of markers) plus a stream tag, so a block is valid for
+  // reuse exactly when both match.
   struct Blocks {
     const trace::TraceStore* stream_tag = nullptr;
     std::size_t staged_index = trace::kNoCheckpoint;  ///< set by stage()
@@ -244,14 +233,13 @@ class FitSession {
   };
 
   const trace::CheckpointView* view() const;
-  Blocks& current() { return slots_[cur_]; }
 
-  /// Retags `slot` for the view's stream, dropping every block that was
+  /// Retags the blocks for the view's stream, dropping every block that was
   /// assembled for a different job.
-  static void ensure_stream(const trace::CheckpointView& view, Blocks* slot);
-  void assemble_fin(const trace::CheckpointView& view, Blocks* slot);
-  void assemble_member(const trace::CheckpointView& view, Blocks* slot);
-  void assemble_snapshot(const trace::CheckpointView& view, Blocks* slot);
+  void ensure_stream(const trace::CheckpointView& view);
+  void assemble_fin(const trace::CheckpointView& view);
+  void assemble_member(const trace::CheckpointView& view);
+  void assemble_snapshot(const trace::CheckpointView& view);
   /// Sets the delta markers for adopting `view` after the last observed
   /// checkpoint (shared tail of observe() and promote()).
   void adopt_view(const trace::CheckpointView& view);
@@ -264,8 +252,7 @@ class FitSession {
   std::vector<std::size_t> newly_finished_;
   std::vector<std::size_t> changed_rows_;
 
-  Blocks slots_[2];
-  std::size_t cur_ = 0;
+  Blocks blocks_;
 };
 
 }  // namespace nurd::core

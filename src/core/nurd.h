@@ -70,7 +70,7 @@ class NurdPredictor final : public StragglerPredictor {
       std::span<const std::size_t> candidates) override;
 
   /// Staged pipeline: featurize stages the finished + membership blocks in
-  /// the session's double buffer; refit replicates predict_stragglers'
+  /// the session; refit replicates predict_stragglers'
   /// calibrate-then-guard-then-fit sequence; predict_stragglers detects the
   /// pre-fitted checkpoint and only scores.
   bool staged() const override { return true; }

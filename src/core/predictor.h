@@ -80,24 +80,16 @@ struct JobContext {
 ///     instances on many jobs, never from sharing one;
 ///   * initialize() happens-before the first predict_stragglers(), and
 ///     views arrive strictly in ascending checkpoint order with no gaps —
-///     the serving layer's task-DAG executor orders the refit chain so
-///     checkpoint t+1 never observes state newer than t's model even
-///     though stages of different checkpoints overlap;
+///     the serving layer runs each job as a serial lane, one checkpoint
+///     at a time;
 ///   * a driver may hand the instance between threads across checkpoints
-///     (a stage task can run on any pool worker) as long as the hand-off
-///     synchronizes (the executor's edges do), so implementations must
-///     not cache thread-local state across calls;
+///     (a lane can be drained by any pool worker) as long as the hand-off
+///     synchronizes (the lane's mutex does), so implementations must not
+///     cache thread-local state across calls;
 ///   * predictions must be a deterministic function of the views observed
 ///     so far (all randomness from explicit seeds) — this is what makes a
 ///     concurrent serving run's flag set bit-identical to the serialized
-///     one;
-///   * the staged hooks below relax single-threadedness in ONE controlled
-///     way: featurize_checkpoint(t) may run concurrently with
-///     refit/predict work for checkpoints < t of the SAME instance (at
-///     most featurize_ahead = 2 ahead; see core/task_dag.h). Staged
-///     implementations confine featurization writes to double-buffered
-///     scratch (FitSession::stage) so the overlap never touches model
-///     state.
+///     one.
 class StragglerPredictor {
  public:
   virtual ~StragglerPredictor() = default;
@@ -118,26 +110,25 @@ class StragglerPredictor {
       const trace::CheckpointView& view,
       std::span<const std::size_t> candidates) = 0;
 
-  // ---- staged-pipeline hooks (the task-DAG executor) ----------------------
-  // A staged predictor splits its per-checkpoint work so the executor can
-  // overlap checkpoints: featurize_checkpoint(t) assembles feature blocks
-  // ahead of time, refit_checkpoint(t) adopts them and updates the models,
-  // and predict_stragglers(t) then only scores. The split must be
+  // ---- staged-pipeline hooks (the harness's four stages) ------------------
+  // A staged predictor splits its per-checkpoint work along the harness
+  // stages, so the serving layer can time them apart:
+  // featurize_checkpoint(t) assembles feature blocks, refit_checkpoint(t)
+  // adopts them and updates the models, and predict_stragglers(t) then only
+  // scores. The split must be
   // semantics-preserving: driving a staged predictor through
   // featurize → refit → predict yields bit-identical flags to calling
   // predict_stragglers alone, including the skip guards (which is why
   // refit_checkpoint receives the candidate set — guards like "no finished
   // tasks or no candidates ⇒ don't touch the models" must fire identically
   // on both paths). Monolithic predictors keep the defaults: the harness
-  // then runs all the work inside the Predict stage, still correct under
-  // the executor's edge chain.
+  // then runs all the work inside the Predict stage.
 
   /// True when featurize_checkpoint/refit_checkpoint carry real work.
   virtual bool staged() const { return false; }
 
-  /// (Featurize stage) Assembles feature blocks for `view`, up to two
-  /// checkpoints ahead of the refit chain. Must not read or write model
-  /// state.
+  /// (Featurize stage) Assembles feature blocks for `view`, ahead of the
+  /// refit that consumes them. Must not read or write model state.
   virtual void featurize_checkpoint(const trace::CheckpointView& view) {
     (void)view;
   }

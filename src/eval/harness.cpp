@@ -72,18 +72,13 @@ void OnlineJobRun::refit(std::size_t t, CheckpointScratch* scratch,
     ++refitted_through_;
     return;
   }
-  // "featurize ran first" is checked through the cell, not the featurize
-  // cursor: featurize(t+1) may legally run concurrently with refit(t) (the
-  // executor's overlap), so reading featurized_through_ here would race.
-  // The cell's view is written by featurize(t) itself, which the
-  // Refit(t) ◄─ Featurize(t) edge orders before this call.
+  // "featurize ran first": the cell's view is written by featurize(t).
   NURD_CHECK(scratch->view.has_value() && scratch->view->index() == t,
              "refit before featurize");
   ++refitted_through_;
   const trace::CheckpointView& view = *scratch->view;
   // Candidates: running tasks that have not been flagged yet. The flag
-  // record is complete through t-1 here (the executor's Refit ◄─ Predict
-  // edge; inline composition trivially), so this is exactly the monolithic
+  // record is complete through t-1 here, so this is exactly the monolithic
   // candidate set.
   const auto running = view.running();
   scratch->candidates.clear();
@@ -103,9 +98,9 @@ void OnlineJobRun::predict(std::size_t t, CheckpointScratch* scratch,
   NURD_CHECK(t < refitted_through_, "predict before refit");
   ++predicted_through_;
   if (shed) {
-    // No new decisions at a shed checkpoint. The cell is a reused ring
-    // slot, so the previous tenant's newly-flagged set must not leak into
-    // this checkpoint's flag() call.
+    // No new decisions at a shed checkpoint. The cell is reused across
+    // checkpoints, so the previous checkpoint's newly-flagged set must not
+    // leak into this checkpoint's flag() call.
     scratch->newly_flagged.clear();
     return;
   }
@@ -128,11 +123,7 @@ std::span<const std::size_t> OnlineJobRun::flag(std::size_t t,
   NURD_CHECK(t < predicted_through_, "flag before predict");
   ++flagged_through_;
   // Cumulative confusion at this checkpoint: every unflagged true straggler
-  // counts as a provisional miss. flagged_at entries written by LATER
-  // predicts carry indices > t, so the <= t test is stable even while
-  // predict(t+1) runs concurrently... except that concurrent writes to
-  // other slots are real; the executor's Predict(t+1) ◄─ Flag(t) edge is
-  // what rules them out.
+  // counts as a provisional miss.
   const std::size_t n = job_->task_count();
   Confusion& c = result_.per_checkpoint[t];
   for (std::size_t i = 0; i < n; ++i) {

@@ -44,11 +44,10 @@ core::JobContext make_job_context(const trace::Job& job, double tau_stra);
 
 /// Per-checkpoint scratch cell handed between the pipeline stages of ONE
 /// checkpoint: featurize() binds the view, refit() fills the candidate set,
-/// predict() fills the newly-flagged set, flag() consumes both. The serving
-/// layer keeps a ring of these per job (one cell per in-flight checkpoint,
-/// reused modulo the executor's window); the batch harness reuses a single
-/// cell. A default-constructed cell is ready for any checkpoint — the view
-/// rebinds in place, reusing partition capacity, once bound.
+/// predict() fills the newly-flagged set, flag() consumes both. The batch
+/// harness and each serving session reuse a single cell across a job's
+/// checkpoints. A default-constructed cell is ready for any checkpoint — the
+/// view rebinds in place, reusing partition capacity, once bound.
 struct CheckpointScratch {
   std::optional<trace::CheckpointView> view;
   std::vector<std::size_t> candidates;
@@ -66,15 +65,14 @@ struct CheckpointScratch {
 /// harness by construction rather than by parallel maintenance.
 ///
 /// step() is itself the composition of four STAGE methods — featurize,
-/// refit, predict, flag — so the task-DAG executor can run the stages of
-/// different checkpoints concurrently (core/task_dag.h) while the batch
-/// path runs them back to back; one code path, bit-identical flags.
+/// refit, predict, flag — which the serving layer calls one by one so it can
+/// time each stage; one code path, bit-identical flags.
 ///
-/// Threading: one OnlineJobRun per (job, predictor instance). The stage
-/// methods may run on different pool workers, but calls must honor the
-/// executor's edges — per stage strictly ascending checkpoints, and the
-/// cross-stage edges documented on each method. step() (all four inline) is
-/// the fully serialized special case.
+/// Threading: one OnlineJobRun per (job, predictor instance), driven by one
+/// thread at a time. Successive checkpoints may run on different pool
+/// workers as long as the hand-off synchronizes (the serving lane's mutex
+/// does). Stage calls follow checkpoint order, each checkpoint's four
+/// stages in sequence, exactly as step() makes them.
 class OnlineJobRun {
  public:
   /// Binds to a job and a fresh predictor (both must outlive the run) and
@@ -96,13 +94,13 @@ class OnlineJobRun {
   // ---- the pipeline stages ------------------------------------------------
   // Each takes the checkpoint index (strictly ascending per stage, no gaps)
   // and the checkpoint's scratch cell; the same cell must flow through all
-  // four stages of one checkpoint. Concurrency limits are exactly the
-  // executor's edges (core/task_dag.h).
+  // four stages of one checkpoint, and checkpoint t's flag() precedes
+  // checkpoint t+1's featurize().
   //
   // `shed = true` skips the checkpoint's model work — the serving layer's
   // load-shedding path. A shed featurize/refit/predict only advances its
   // cursor (predict additionally clears the cell's newly-flagged set, since
-  // ring cells are reused); flag() then carries the confusion record forward
+  // cells are reused); flag() then carries the confusion record forward
   // from the standing flag set. Whole checkpoints are shed, never single
   // stages: predictors re-fit inline on a stale session (the staged-hook
   // fallback), so shedding just the refit would save nothing. FitSession
@@ -111,25 +109,23 @@ class OnlineJobRun {
 
   /// Stage 1 — binds the checkpoint view into the cell and runs the
   /// predictor's featurize hook (block staging; a no-op for monolithic
-  /// methods). May run while refit/predict/flag of checkpoints < t are
-  /// still in flight, up to the executor's featurize-ahead bound.
+  /// methods).
   void featurize(std::size_t t, CheckpointScratch* scratch,
                  bool shed = false);
 
   /// Stage 2 — computes the candidate set (running tasks unflagged through
-  /// t-1; requires predict(t-1) retired) and runs the predictor's refit
-  /// hook with it, replicating the monolithic skip guards.
+  /// t-1) and runs the predictor's refit hook with it, replicating the
+  /// monolithic skip guards.
   void refit(std::size_t t, CheckpointScratch* scratch, bool shed = false);
 
   /// Stage 3 — predict_stragglers on the candidates (a staged predictor
   /// only scores here; a monolithic one does all its work) and records the
-  /// flags permanently. Requires flag(t-1) retired (it writes the record
-  /// flag(t-1) reads).
+  /// flags permanently.
   void predict(std::size_t t, CheckpointScratch* scratch, bool shed = false);
 
   /// Stage 4 — cumulative confusion accounting; populates `final` on the
   /// last checkpoint. Returns the newly flagged tasks (valid while the cell
-  /// is). Never blocks the next refit — that is the executor's non-edge.
+  /// is).
   std::span<const std::size_t> flag(std::size_t t, CheckpointScratch* scratch);
 
   /// The accumulated record; `final` is populated once done().
@@ -145,8 +141,7 @@ class OnlineJobRun {
   std::optional<core::OfflineSample> offline_;
   std::size_t checkpoint_count_ = 0;
   // Per-stage cursors: the next checkpoint each stage expects. Between
-  // step() calls all four agree; under the executor they fan out by at most
-  // the in-flight window.
+  // checkpoints all four agree; they check the stage call order.
   std::size_t featurized_through_ = 0;
   std::size_t refitted_through_ = 0;
   std::size_t predicted_through_ = 0;

@@ -6,12 +6,10 @@
 #include <deque>
 #include <exception>
 #include <set>
-#include <tuple>
 
 #include "common/check.h"
 #include "common/sync.h"
 #include "common/thread_pool.h"
-#include "core/task_dag.h"
 
 namespace nurd::serve {
 
@@ -19,19 +17,39 @@ namespace {
 using Clock = std::chrono::steady_clock;
 }  // namespace
 
+const char* stage_name(Stage stage) {
+  switch (stage) {
+    case Stage::kFeaturize:
+      return "featurize";
+    case Stage::kRefit:
+      return "refit";
+    case Stage::kPredict:
+      return "predict";
+    case Stage::kFlag:
+      return "flag";
+  }
+  return "?";
+}
+
+double percentile_ms(std::span<const double> sorted_seconds, double q) {
+  if (sorted_seconds.empty()) return 0.0;
+  const auto n = sorted_seconds.size();
+  auto idx = static_cast<std::size_t>(q * static_cast<double>(n));
+  if (idx >= n) idx = n - 1;
+  return sorted_seconds[idx] * 1e3;
+}
+
 struct ShardEngine::Impl {
   // Per-job engine-local scheduling state (the session itself is the
-  // caller's). The pending/scheduled pair only serves kSerialLanes and the
-  // serialized loop, where a job is a serial lane drained by at most one
-  // task at a time.
+  // caller's): a job is a serial lane drained by at most one task at a time.
   struct Admitted {
     double time = 0.0;
     std::uint32_t checkpoint = 0;
     Clock::time_point admitted_at;
   };
   struct LaneState {
-    std::deque<Admitted> pending;  ///< kSerialLanes / serialized only
-    bool scheduled = false;        ///< kSerialLanes / serialized only
+    std::deque<Admitted> pending;
+    bool scheduled = false;  ///< on a worker deque or being drained
   };
 
   Impl(std::span<const trace::Job> jobs, std::span<JobSession> sessions,
@@ -54,15 +72,11 @@ struct ShardEngine::Impl {
                                        std::numeric_limits<std::size_t>::max());
     for (const EngineEvent& ev : events_) {
       NURD_CHECK(ev.job < jobs_.size(), "event job out of range");
-      NURD_CHECK(sessions_[ev.job].run.has_value() &&
-                     !sessions_[ev.job].ring.empty(),
+      NURD_CHECK(sessions_[ev.job].run.has_value(),
                  "event for a job with no session");
-      if (next_seen[ev.job] == std::numeric_limits<std::size_t>::max()) {
-        first_checkpoint_.push_back({ev.job, ev.checkpoint});
-      } else {
-        NURD_CHECK(ev.checkpoint == next_seen[ev.job],
-                   "engine events must follow checkpoint order per job");
-      }
+      NURD_CHECK(next_seen[ev.job] == std::numeric_limits<std::size_t>::max() ||
+                     ev.checkpoint == next_seen[ev.job],
+                 "engine events must follow checkpoint order per job");
       next_seen[ev.job] = ev.checkpoint + 1;
       auto& times = event_time_[ev.job];
       if (times.empty()) times.resize(jobs_[ev.job].checkpoint_count(), 0.0);
@@ -84,11 +98,17 @@ struct ShardEngine::Impl {
                                    : *inflight_times_.begin();
   }
 
-  // Admits `ev` into its lane (caller holds no locks) and, when the lane is
-  // idle, starts a drain: submitted to `pool`, or run inline right here when
-  // serialized (pool == nullptr).
-  void admit(const EngineEvent& ev, ThreadPool* pool) NURD_EXCLUDES(mutex_) {
-    bool schedule = false;
+  std::size_t inflight() const NURD_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return inflight_;
+  }
+
+  // Admits `ev` into its lane (caller holds no locks). A lane that was idle
+  // becomes runnable: with workers it goes onto the next worker's deque in
+  // round-robin order; serialized (no workers) it is drained inline, right
+  // here, in plan order.
+  void admit(const EngineEvent& ev) NURD_EXCLUDES(mutex_) {
+    bool drain_inline = false;
     {
       MutexLock lock(mutex_);
       while (!(inflight_ < cap_ || error_ != nullptr)) cv_.wait(mutex_);
@@ -96,16 +116,18 @@ struct ShardEngine::Impl {
       LaneState& lane = lanes_[ev.job];
       lane.pending.push_back({ev.time, ev.checkpoint, Clock::now()});
       account_admit_locked(ev);
-      if (!lane.scheduled) {
-        lane.scheduled = true;
-        schedule = true;
+      if (lane.scheduled) return;
+      lane.scheduled = true;
+      if (ready_.empty()) {
+        drain_inline = true;
+      } else {
+        ready_[inject_++ % ready_.size()].push_back(ev.job);
       }
     }
-    if (!schedule) return;
-    if (pool) {
-      pool->submit([this, job = ev.job] { drain_lane(job); });
-    } else {
+    if (drain_inline) {
       drain_lane(ev.job);
+    } else {
+      work_cv_.notify_one();
     }
   }
 
@@ -124,30 +146,27 @@ struct ShardEngine::Impl {
   }
 
   // Executes ONE pipeline stage of checkpoint `t` of `job`, timing its body
-  // into the per-stage busy counters. Every execution mode funnels through
-  // here — the serialized loop and the serial lanes run the four stages back
-  // to back, the DAG runs them as separate tasks — so the stage breakdown is
-  // populated identically everywhere. The Flag stage is where decisions
+  // into the per-stage busy counters. The Flag stage is where decisions
   // leave the engine: the sink runs here, OUTSIDE the engine mutex and
   // BEFORE the event's time leaves the in-flight set, so low_watermark()
   // cannot pass a flag that is still being delivered.
-  void run_stage(std::size_t job, std::size_t t, core::Stage stage)
+  void run_stage(std::size_t job, std::size_t t, Stage stage)
       NURD_EXCLUDES(mutex_) {
     JobSession& session = sessions_[job];
-    eval::CheckpointScratch& cell = session.ring[t % session.ring.size()];
+    eval::CheckpointScratch& cell = session.scratch;
     const bool shed = is_shed(job, t);
     const auto began = Clock::now();
     switch (stage) {
-      case core::Stage::kFeaturize:
+      case Stage::kFeaturize:
         session.run->featurize(t, &cell, shed);
         break;
-      case core::Stage::kRefit:
+      case Stage::kRefit:
         session.run->refit(t, &cell, shed);
         break;
-      case core::Stage::kPredict:
+      case Stage::kPredict:
         session.run->predict(t, &cell, shed);
         break;
-      case core::Stage::kFlag: {
+      case Stage::kFlag: {
         const auto flagged = session.run->flag(t, &cell);
         if (!flagged.empty()) {
           if (hooks_.sink) {
@@ -172,9 +191,8 @@ struct ShardEngine::Impl {
         std::memory_order_relaxed);
   }
 
-  // Drains one job's lane (serialized and kSerialLanes modes): processes
-  // admitted checkpoints strictly in order — all four stages back to back —
-  // until the lane empties.
+  // Drains one job's lane: processes admitted checkpoints strictly in order
+  // — all four stages back to back — until the lane empties.
   void drain_lane(std::size_t job) NURD_EXCLUDES(mutex_) {
     LaneState& lane = lanes_[job];
     JobSession& session = sessions_[job];
@@ -194,8 +212,8 @@ struct ShardEngine::Impl {
       try {
         NURD_CHECK(session.run->next_checkpoint() == ev.checkpoint,
                    "lane processed a checkpoint out of order");
-        for (std::size_t s = 0; s < core::kStageCount; ++s) {
-          run_stage(job, ev.checkpoint, static_cast<core::Stage>(s));
+        for (std::size_t s = 0; s < kStageCount; ++s) {
+          run_stage(job, ev.checkpoint, static_cast<Stage>(s));
         }
       } catch (...) {
         MutexLock lock(mutex_);
@@ -219,24 +237,40 @@ struct ShardEngine::Impl {
     }
   }
 
-  // DAG-mode admission: the event accounting runs under the mutex, the
-  // executor admit OUTSIDE it (the executor's callbacks take mutex_
-  // themselves). A refused admit — the job was cancelled by an earlier stage
-  // error — retires the event immediately so the in-flight count still
-  // drains to zero.
-  void admit_dag(const EngineEvent& ev, core::TaskDag& dag)
-      NURD_EXCLUDES(mutex_) {
-    {
-      MutexLock lock(mutex_);
-      while (!(inflight_ < cap_ || error_ != nullptr)) cv_.wait(mutex_);
-      if (error_) return;  // stop admitting; run() rethrows after the drain
-      account_admit_locked(ev);
-      admitted_at_[ev.job][ev.checkpoint] = Clock::now();
+  // One stage worker: pops a runnable lane — from the back of its own deque
+  // (LIFO), else from the front of another worker's (FIFO steal) — and
+  // drains it. Returns once run() has closed the engine.
+  void worker_loop(std::size_t self) NURD_EXCLUDES(mutex_) {
+    for (;;) {
+      std::size_t job = 0;
+      {
+        MutexLock lock(mutex_);
+        while (!pop_lane_locked(self, &job)) {
+          if (closed_) return;
+          work_cv_.wait(mutex_);
+        }
+      }
+      drain_lane(job);
     }
-    if (!dag.admit(ev.job, ev.checkpoint)) {
-      MutexLock lock(mutex_);
-      retire_locked(ev.time);
+  }
+
+  bool pop_lane_locked(std::size_t self, std::size_t* job)
+      NURD_REQUIRES(mutex_) {
+    std::deque<std::size_t>& own = ready_[self];
+    if (!own.empty()) {
+      *job = own.back();
+      own.pop_back();
+      return true;
     }
+    for (std::size_t k = 1; k < ready_.size(); ++k) {
+      std::deque<std::size_t>& victim = ready_[(self + k) % ready_.size()];
+      if (!victim.empty()) {
+        *job = victim.front();
+        victim.pop_front();
+        return true;
+      }
+    }
+    return false;
   }
 
   // Both _locked helpers require mutex_ held (compiler-enforced).
@@ -262,61 +296,20 @@ struct ShardEngine::Impl {
         config_.threads == 0 ? std::max(1u, hw) : config_.threads;
     cap_ = config_.max_inflight == 0 ? 4 * workers : config_.max_inflight;
 
-    const bool use_dag =
-        config_.executor == ExecutorMode::kDag && workers > 1;
-    if (use_dag) {
-      MutexLock lock(mutex_);  // preamble, but the field is lock-annotated
-      admitted_at_.resize(jobs_.size());
-      for (const auto& fc : first_checkpoint_) {
-        admitted_at_[fc.first].resize(jobs_[fc.first].checkpoint_count());
-      }
-    }
-
     // Serialized (threads == 1): no pool — each event is admitted and its
-    // lane drained inline, in plan order. Concurrent: a private pool of
-    // `workers` runs the stage work — as pipelined DAG tasks (default) or as
-    // monolithic per-lane drains (kSerialLanes, the baseline) — and this
-    // thread only admits. The dag is declared after the pool so it is
-    // destroyed FIRST (its pumps run on the pool).
+    // lane drained inline, in plan order. Concurrent: a private pool runs
+    // `workers` worker loops over per-worker lane deques, and this thread
+    // only admits.
     std::optional<ThreadPool> pool;
-    std::optional<core::TaskDag> dag;
-    if (workers > 1) pool.emplace(workers);
-    if (use_dag) {
-      core::TaskDagConfig dag_config;
-      dag_config.workers = workers;
-      dag_config.window = config_.window;
-      dag_config.featurize_ahead = std::min<std::size_t>(2, config_.window);
-      dag.emplace(
-          jobs_.size(), dag_config,
-          [this](const core::TaskKey& k) {
-            run_stage(k.job, k.checkpoint, k.stage);
-          },
-          [this](std::size_t job, std::size_t ckpt, bool completed) {
-            {
-              MutexLock lock(mutex_);
-              if (completed) {
-                latencies_.push_back(
-                    {static_cast<std::uint32_t>(job),
-                     std::chrono::duration<double>(Clock::now() -
-                                                   admitted_at_[job][ckpt])
-                         .count()});
-                ++processed_;
-              }
-              retire_locked(event_time_[job][ckpt]);
-            }
-            if (completed && hooks_.retired) hooks_.retired(job, ckpt);
-          },
-          [this](std::size_t, std::exception_ptr e) {
-            MutexLock lock(mutex_);
-            if (!error_) error_ = e;
-            cv_.notify_all();
-          });
-      // Migrated-in jobs start their pipeline at the handoff boundary; the
-      // executor treats everything below it as already complete.
-      for (const auto& fc : first_checkpoint_) {
-        if (fc.second > 0) dag->begin_job_at(fc.first, fc.second);
+    if (workers > 1) {
+      {
+        MutexLock lock(mutex_);  // preamble, but the field is lock-annotated
+        ready_.resize(workers);
       }
-      dag->start(*pool);
+      pool.emplace(workers);
+      for (std::size_t w = 0; w < workers; ++w) {
+        pool->submit([this, w] { worker_loop(w); });
+      }
     }
 
     // `dead` (handoff-abandoned jobs) is touched only on this admission
@@ -334,22 +327,19 @@ struct ShardEngine::Impl {
           continue;
         }
       }
-      if (dag) {
-        admit_dag(ev, *dag);
-      } else {
-        admit(ev, pool ? &*pool : nullptr);
-      }
+      admit(ev);
       {
         MutexLock lock(mutex_);
         if (error_) break;
       }
     }
-    if (dag) dag->close();
     {
       MutexLock lock(mutex_);
       while (inflight_ != 0) cv_.wait(mutex_);
+      closed_ = true;
     }
-    if (dag) dag->wait();
+    work_cv_.notify_all();
+    pool.reset();  // joins the worker loops
     {
       MutexLock lock(mutex_);
       if (error_) std::rethrow_exception(error_);
@@ -358,7 +348,7 @@ struct ShardEngine::Impl {
         std::chrono::duration<double>(Clock::now() - start).count();
 
     // Stats assembly holds mutex_: the drain above already guarantees every
-    // writer is done (in-flight count zero, DAG pumps exited), but reading
+    // writer is done (in-flight count zero, worker loops joined), but reading
     // the guarded counters through the same lock they were written under
     // makes the happens-before a compiler-checked fact instead of an
     // argument about pool teardown order.
@@ -372,7 +362,7 @@ struct ShardEngine::Impl {
       stats_.wall_seconds = wall;
       stats_.latencies = std::move(latencies_);
     }
-    for (std::size_t i = 0; i < core::kStageCount; ++i) {
+    for (std::size_t i = 0; i < kStageCount; ++i) {
       stats_.stage_seconds[i] =
           static_cast<double>(
               stage_nanos_[i].load(std::memory_order_relaxed)) *
@@ -382,9 +372,9 @@ struct ShardEngine::Impl {
 
   // ---- owner state: written at construction or in run()'s preamble, before
   // any worker exists; read-only once stage tasks are in flight. Sessions
-  // are driven without a lock — exactly one stage task of a job runs at a
-  // time (the DAG's refit chain / the serial lane). LaneState::pending /
-  // ::scheduled are only touched under mutex_ (see drain_lane).
+  // are driven without a lock — a lane has at most one drain at a time.
+  // LaneState::pending / ::scheduled are only touched under mutex_ (see
+  // drain_lane).
   std::span<const trace::Job> jobs_;
   std::span<JobSession> sessions_;
   std::vector<EngineEvent> events_;  ///< the plan slice, in admission order
@@ -395,14 +385,21 @@ struct ShardEngine::Impl {
   std::vector<std::vector<std::uint8_t>> shed_;
   /// Per job: simulated event time per checkpoint (filled for plan events).
   std::vector<std::vector<double>> event_time_;
-  /// (job, first checkpoint in this engine's slice) per appearing job.
-  std::vector<std::pair<std::size_t, std::size_t>> first_checkpoint_;
   bool ran_ = false;
   std::size_t cap_ = 1;
   EngineStats stats_;
 
   mutable Mutex mutex_;
+  /// Admission and drain waits: signalled when an event retires.
   CondVar cv_;
+  /// Worker waits: signalled when a lane becomes runnable or at close.
+  CondVar work_cv_;
+  /// Runnable lanes (job ids) per worker; empty when serialized.
+  std::vector<std::deque<std::size_t>> ready_ NURD_GUARDED_BY(mutex_);
+  /// Round-robin cursor over ready_ for admission pushes.
+  std::size_t inject_ NURD_GUARDED_BY(mutex_) = 0;
+  /// Set once every admitted event retired; worker loops then return.
+  bool closed_ NURD_GUARDED_BY(mutex_) = false;
   std::size_t inflight_ NURD_GUARDED_BY(mutex_) = 0;
   /// Admitted, not yet processed.
   std::multiset<double> inflight_times_ NURD_GUARDED_BY(mutex_);
@@ -417,12 +414,8 @@ struct ShardEngine::Impl {
   std::vector<EngineStats::Latency> latencies_ NURD_GUARDED_BY(mutex_);
   std::exception_ptr error_ NURD_GUARDED_BY(mutex_);
 
-  /// DAG mode: admission wall-clock per (job, checkpoint), stamped under
-  /// mutex_ at admit and read under mutex_ at retire.
-  std::vector<std::vector<Clock::time_point>> admitted_at_
-      NURD_GUARDED_BY(mutex_);
   /// Cumulative busy nanoseconds per pipeline stage, across all workers.
-  std::array<std::atomic<std::uint64_t>, core::kStageCount> stage_nanos_{};
+  std::array<std::atomic<std::uint64_t>, kStageCount> stage_nanos_{};
 };
 
 ShardEngine::ShardEngine(std::span<const trace::Job> jobs,
@@ -435,6 +428,8 @@ ShardEngine::ShardEngine(std::span<const trace::Job> jobs,
 ShardEngine::~ShardEngine() = default;
 
 double ShardEngine::low_watermark() const { return impl_->low_watermark(); }
+
+std::size_t ShardEngine::inflight() const { return impl_->inflight(); }
 
 void ShardEngine::run() { impl_->run(); }
 

@@ -4,10 +4,10 @@
 // A ShardEngine owns NO policy. It is handed a finished plan — the job
 // sessions to drive, the admission-ordered event list (each event optionally
 // marked shed or handoff-gated) — and executes it: admits events under a
-// bounded in-flight window, runs the four pipeline stages per checkpoint on
-// its private ThreadPool (task-DAG pipelined by default, serial lanes or the
-// fully serialized inline loop otherwise), emits flags through the hook
-// sink, and reports wall-clock stats. Everything that DECIDES — arrival
+// bounded in-flight window into per-job serial lanes, runs each checkpoint's
+// four pipeline stages back to back (on its private ThreadPool, or inline on
+// the calling thread at threads == 1), emits flags through the hook sink,
+// and reports wall-clock stats. Everything that DECIDES — arrival
 // draws, placement, tenant quotas, shed selection, drain boundaries — lives
 // in the frontends, computed in simulated time before execution starts, so
 // engine scheduling can never feed back into the decision plane. That
@@ -54,26 +54,26 @@ struct FlagDecision {
 /// serve::LiveClusterFeed).
 using FlagSink = std::function<void(const FlagDecision&)>;
 
-/// Which concurrent executor run() schedules stage work on. Irrelevant at
-/// threads == 1 (always the inline serialized loop).
-enum class ExecutorMode {
-  /// The task-DAG pipeline (core/task_dag.h): per-checkpoint stages with
-  /// explicit edges; stages of different checkpoints of one job overlap.
-  kDag,
-  /// The per-job serial lanes the DAG replaced — one monolithic step per
-  /// checkpoint, one drain task per job at a time. Kept as the baseline
-  /// bench_serve compares DAG tail latency against.
-  kSerialLanes,
+/// The four pipeline stages of one checkpoint, in execution order.
+enum class Stage : std::uint8_t {
+  kFeaturize = 0,  ///< bind the view, assemble feature blocks
+  kRefit = 1,      ///< consume the blocks, update the models
+  kPredict = 2,    ///< score candidates, record flags
+  kFlag = 3,       ///< confusion accounting + sink emission
 };
 
+inline constexpr std::size_t kStageCount = 4;
+
+const char* stage_name(Stage stage);
+
 /// A job's managed serving session: predictor + harness stepper + the
-/// per-checkpoint scratch ring the DAG stages hand off through (cell
-/// t % ring.size(); reuse is safe under the executor's window edge). Owned
-/// by the frontend so it survives engine handoffs.
+/// scratch cell its checkpoints' stages hand off through (a lane runs one
+/// checkpoint at a time, so one cell serves them all). Owned by the frontend
+/// so it survives engine handoffs.
 struct JobSession {
   std::unique_ptr<core::StragglerPredictor> predictor;
   std::optional<eval::OnlineJobRun> run;
-  std::vector<eval::CheckpointScratch> ring;
+  eval::CheckpointScratch scratch;
 };
 
 /// "This event waits for no handoff."
@@ -105,10 +105,6 @@ struct EngineConfig {
   /// Admission bound: at most this many checkpoint events in flight
   /// (admitted, not yet retired). 0 = 4 workers' worth.
   std::size_t max_inflight = 0;
-  /// Concurrent executor (see ExecutorMode).
-  ExecutorMode executor = ExecutorMode::kDag;
-  /// Per-job in-flight window of the DAG executor (>= 2 to overlap).
-  std::size_t window = 4;
 };
 
 /// Frontend callbacks. Only `sink` is optional; the handoff hooks are
@@ -142,15 +138,28 @@ struct EngineStats {
     double seconds = 0.0;  ///< admission -> checkpoint retired
   };
   std::vector<Latency> latencies;
-  /// Cumulative busy seconds per pipeline stage (indexed by core::Stage).
-  std::array<double, 4> stage_seconds{};
+  /// Cumulative busy seconds per pipeline stage (indexed by Stage).
+  std::array<double, kStageCount> stage_seconds{};
 };
+
+/// The q-quantile (q in [0, 1]) of ascending latencies in seconds, in
+/// milliseconds: element floor(q * n), clamped to the last; 0 when empty.
+double percentile_ms(std::span<const double> sorted_seconds, double q);
 
 /// Executes one shard's slice of a serving plan. Single-use: construct,
 /// run() once (from any one thread — the fleet runs one driver thread per
 /// engine), read stats. `jobs` and `sessions` are fleet-wide and indexed by
 /// EngineEvent::job; sessions of jobs never appearing in `events` are
 /// untouched.
+///
+/// Execution: each job is a serial lane — its admitted checkpoints queue in
+/// order and one drain at a time runs them, all four stages back to back,
+/// which is the per-job ordering the session protocol needs. With N > 1
+/// workers, admission pushes each lane that becomes runnable onto worker
+/// (k++ % N)'s deque; a worker pops its own deque from the back (LIFO) and,
+/// when it is empty, steals from the front of the others (FIFO). At
+/// threads == 1 there are no workers: admission drains the lane inline, in
+/// plan order — the bit-parity reference.
 class ShardEngine {
  public:
   ShardEngine(std::span<const trace::Job> jobs, std::span<JobSession> sessions,
@@ -163,6 +172,10 @@ class ShardEngine {
   /// Stream low watermark: every event with time strictly below it has been
   /// fully processed (flags emitted). Safe from any thread mid-run.
   double low_watermark() const;
+
+  /// Checkpoint events admitted and not yet retired. Safe from any thread;
+  /// zero once run() has returned or thrown.
+  std::size_t inflight() const;
 
   /// Runs the plan slice to completion. Call once. Throws the first stage
   /// error after draining.

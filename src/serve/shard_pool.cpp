@@ -25,14 +25,6 @@ constexpr std::size_t kUnplaced = std::numeric_limits<std::size_t>::max();
 /// service.
 constexpr double kShedCostFactor = 0.25;
 
-double percentile_ms(std::vector<double>& sorted_seconds, double q) {
-  if (sorted_seconds.empty()) return 0.0;
-  const auto n = sorted_seconds.size();
-  auto idx = static_cast<std::size_t>(q * static_cast<double>(n));
-  if (idx >= n) idx = n - 1;
-  return sorted_seconds[idx] * 1e3;
-}
-
 }  // namespace
 
 struct ShardedMonitor::Impl {
@@ -42,7 +34,6 @@ struct ShardedMonitor::Impl {
     NURD_CHECK(!jobs.empty(), "no jobs to serve");
     NURD_CHECK(method_.make != nullptr, "method has no factory");
     NURD_CHECK(config_.shards >= 1, "need at least one shard");
-    NURD_CHECK(config_.window >= 1, "window must be at least 1");
     if (config_.tenants.empty()) config_.tenants.push_back(TenantSpec{});
     for (const TenantSpec& t : config_.tenants) {
       NURD_CHECK(t.quota_rate >= 0.0 && t.quota_burst > 0.0,
@@ -249,8 +240,6 @@ struct ShardedMonitor::Impl {
     const unsigned hw = std::thread::hardware_concurrency();
     const std::size_t workers =
         config_.threads == 0 ? std::max(1u, hw) : config_.threads;
-    const bool use_dag =
-        config_.executor == ExecutorMode::kDag && workers > 1;
 
     // Fleet-wide sessions: a job's session survives handoffs — the
     // receiving engine resumes the same OnlineJobRun where the source
@@ -260,7 +249,6 @@ struct ShardedMonitor::Impl {
       sessions_[j].predictor = method_.make();
       sessions_[j].run.emplace(jobs_[j], *sessions_[j].predictor,
                                config_.pct);
-      sessions_[j].ring.resize(use_dag ? config_.window : 1);
     }
 
     // Slice the plan per shard, in plan (admission) order. A job whose
@@ -299,8 +287,6 @@ struct ShardedMonitor::Impl {
     EngineConfig engine_config;
     engine_config.threads = workers;
     engine_config.max_inflight = config_.max_inflight;
-    engine_config.executor = config_.executor;
-    engine_config.window = config_.window;
 
     std::vector<std::unique_ptr<ShardEngine>> engines;
     engines.reserve(config_.shards);

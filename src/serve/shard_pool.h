@@ -1,5 +1,5 @@
 // The sharded multi-tenant serving fleet: N StreamMonitor-class shards —
-// each a ShardEngine with its own ThreadPool and task-DAG executor — behind
+// each a ShardEngine with its own ThreadPool running per-job lanes — behind
 // a job-placement policy, per-tenant admission quotas, QoS-tiered
 // load-shedding, and graceful shard drain/rebalance.
 //
@@ -102,10 +102,6 @@ struct ShardedMonitorConfig {
   std::size_t threads = 1;
   /// Per-shard admission bound (0 = 4 workers' worth).
   std::size_t max_inflight = 0;
-  /// Concurrent executor per shard.
-  ExecutorMode executor = ExecutorMode::kDag;
-  /// Per-job DAG window per shard.
-  std::size_t window = 4;
   /// Per-job arrival offsets (null = batch). Drawn once from arrival_seed.
   sched::ArrivalProcess arrivals;
   std::uint64_t arrival_seed = 0;

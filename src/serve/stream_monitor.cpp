@@ -11,18 +11,6 @@
 
 namespace nurd::serve {
 
-namespace {
-
-double percentile_ms(std::vector<double>& sorted_seconds, double q) {
-  if (sorted_seconds.empty()) return 0.0;
-  const auto n = sorted_seconds.size();
-  auto idx = static_cast<std::size_t>(q * static_cast<double>(n));
-  if (idx >= n) idx = n - 1;
-  return sorted_seconds[idx] * 1e3;
-}
-
-}  // namespace
-
 // The single-shard frontend: StreamMonitor plans (arrival draw + merged
 // event queue + session construction) and one ShardEngine executes. The
 // engine is built in the constructor — not run() — so low_watermark() is
@@ -33,7 +21,6 @@ struct StreamMonitor::Impl {
       : jobs_(jobs), method_(std::move(method)), config_(std::move(config)) {
     NURD_CHECK(!jobs.empty(), "no jobs to serve");
     NURD_CHECK(method_.make != nullptr, "method has no factory");
-    NURD_CHECK(config_.window >= 1, "window must be at least 1");
 
     // Arrival offsets are drawn once, up front, from their own seed — the
     // ingestion schedule is a function of (jobs, arrival process, seed)
@@ -74,24 +61,16 @@ struct StreamMonitor::Impl {
         config_.threads == 0 ? std::max(1u, hw) : config_.threads;
     // Managed sessions: one fresh predictor + one OnlineJobRun per job. The
     // stepper is the run_job protocol itself, so serialized serving is
-    // bit-identical to the batch harness by construction. The DAG path needs
-    // one scratch cell per in-flight checkpoint of a job (the executor's
-    // window edge makes cell t % window reuse-safe); the serialized paths
-    // run one checkpoint at a time and reuse a single cell.
-    const bool use_dag =
-        config_.executor == ExecutorMode::kDag && workers > 1;
+    // bit-identical to the batch harness by construction.
     sessions_.resize(jobs_.size());
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       sessions_[j].predictor = method_.make();
       sessions_[j].run.emplace(jobs_[j], *sessions_[j].predictor,
                                config_.pct);
-      sessions_[j].ring.resize(use_dag ? config_.window : 1);
     }
     EngineConfig engine_config;
     engine_config.threads = workers;
     engine_config.max_inflight = config_.max_inflight;
-    engine_config.executor = config_.executor;
-    engine_config.window = config_.window;
     EngineHooks hooks;
     hooks.sink = config_.sink;
     engine_.emplace(jobs_, std::span<JobSession>(sessions_),

@@ -17,15 +17,12 @@
 //     simulator's processes), each checkpoint's event time is
 //     arrival + τrun, and the merged queue is admitted in ascending event
 //     time under a bounded in-flight window;
-//   * admitted checkpoints execute on the task-DAG executor
-//     (core/task_dag.h): each checkpoint is four stage tasks — featurize →
-//     refit → predict → flag — and the executor's edges give the PER-JOB
-//     ORDERING GUARANTEE the models need: checkpoint t+1's refit never
-//     observes state newer than checkpoint t's model (the refit chain), and
-//     flag emission order within a job follows checkpoint order. Unlike the
-//     serial lanes this replaced, stages of DIFFERENT checkpoints of the
-//     same job overlap — checkpoint t+1 featurizes while t refits — which
-//     is where the tail-latency win at high concurrency comes from;
+//   * each job is a serial lane: its admitted checkpoints run one at a
+//     time, in order, each as featurize → refit → predict → flag back to
+//     back — the PER-JOB ORDERING GUARANTEE the models need (checkpoint
+//     t+1's refit never observes state newer than checkpoint t's model,
+//     and flag emission within a job follows checkpoint order). Lanes of
+//     different jobs run concurrently on the engine's workers;
 //   * every flag decision is pushed to a caller-provided FlagSink the moment
 //     the predictor emits it — serve::LiveClusterFeed forwards them into the
 //     event-driven cluster simulator so predictions drive relaunch decisions
@@ -36,17 +33,17 @@
 //     event-time order; the emitted flags and per-job records are
 //     BIT-IDENTICAL to eval::run_method over the same jobs — serving is the
 //     batch harness re-scheduled, never a second implementation;
-//   * any thread count and either executor produce bit-identical per-job
-//     records: the executor decides only WHEN stage tasks run, never what
-//     they compute (its edges are the data dependencies; every parallel
-//     loop below a stage honors the ThreadPool determinism contract), so
-//     the flag SET is identical at 1, 4, or 16 workers — only sink emission
-//     ORDER across jobs varies;
+//   * any thread count produces bit-identical per-job records: dispatch
+//     decides only WHEN a lane runs, never what it computes (each lane is
+//     the job's checkpoints in order; every parallel loop below a stage
+//     honors the ThreadPool determinism contract), so the flag SET is
+//     identical at 1, 4, or 16 workers — only sink emission ORDER across
+//     jobs varies;
 //   * the wall-clock stats (latency percentiles, backlog, throughput) are of
 //     course run-dependent; everything else is reproducible from the seeds.
 //
-// Implementation note: the execution core — admission window, stage
-// dispatch, executors, stats — lives in serve/shard_engine.h. StreamMonitor
+// Implementation note: the execution core — admission window, lane
+// dispatch, stats — lives in serve/shard_engine.h. StreamMonitor
 // is the single-shard frontend over one ShardEngine; serve/shard_pool.h
 // (ShardedMonitor) runs N of them as a fleet. StreamMonitor owns the plan
 // for its engine: draw arrivals, build the merged event queue, done.
@@ -71,7 +68,7 @@
 #include "core/registry.h"
 #include "eval/harness.h"
 #include "sched/cluster.h"
-#include "serve/shard_engine.h"  // FlagDecision, FlagSink, ExecutorMode
+#include "serve/shard_engine.h"  // FlagDecision, FlagSink
 #include "trace/job.h"
 
 namespace nurd::serve {
@@ -87,12 +84,6 @@ struct StreamMonitorConfig {
   /// (admitted, not yet retired). 0 = 4 workers' worth. Backlog and
   /// decision latency are measured against this window.
   std::size_t max_inflight = 0;
-  /// Concurrent executor (see ExecutorMode).
-  ExecutorMode executor = ExecutorMode::kDag;
-  /// Per-job in-flight window of the DAG executor: at most this many
-  /// checkpoints of ONE job have stages in flight at once (the scratch-cell
-  /// ring bound; core/task_dag.h). At least 2 to overlap at all.
-  std::size_t window = 4;
   /// Per-job arrival offsets (null = sched::batch_arrivals(), everything at
   /// t = 0). Drawn once at construction from `arrival_seed`.
   sched::ArrivalProcess arrivals;
@@ -111,7 +102,7 @@ struct ServeStats {
   std::size_t jobs = 0;
   std::size_t checkpoints = 0;  ///< events processed
   std::size_t flags = 0;        ///< decisions emitted
-  std::size_t lanes = 0;        ///< executor workers used
+  std::size_t lanes = 0;        ///< stage workers used
   std::size_t peak_backlog = 0;  ///< max events in flight at once
   double wall_seconds = 0.0;
   double checkpoints_per_sec = 0.0;
@@ -120,10 +111,10 @@ struct ServeStats {
   double p50_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
   /// Cumulative busy time per pipeline stage (featurize, refit, predict,
-  /// flag — indexed by core::Stage), summed across workers. Together with
+  /// flag — indexed by Stage), summed across workers. Together with
   /// wall_seconds this is the stage share of the run: with S workers,
-  /// sum(stage_seconds) / (S * wall_seconds) is executor utilization.
-  std::array<double, 4> stage_seconds{};
+  /// sum(stage_seconds) / (S * wall_seconds) is worker utilization.
+  std::array<double, kStageCount> stage_seconds{};
 };
 
 /// Outcome of one serving run.

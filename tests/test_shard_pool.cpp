@@ -11,6 +11,8 @@
 //   * load-shedding engages under an over-budget spike, sheds only QoS
 //     classes below the floor, never a job's final checkpoint, and sheds
 //     the same checkpoints on every rerun.
+// Plus the fleet's error path: a stage error on either side of a drain
+// handoff is rethrown from run(), which returns without hanging.
 #include "serve/shard_pool.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include "core/registry.h"
 #include "eval/harness.h"
 #include "serve/placement.h"
+#include "test_failing_method.h"
 #include "trace/generator.h"
 
 namespace nurd::serve {
@@ -154,8 +157,8 @@ TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
 // Kill-style drain: shard 0 drains mid-stream, its jobs re-place and resume
 // on open shards, and the final records and flag set are bit-identical to
 // the undrained run. The drain time lands inside the event stream so real
-// handoffs happen (asserted), and the grid covers serialized and DAG
-// execution on the receiving side.
+// handoffs happen (asserted), and the grid covers serialized and
+// concurrent execution on the receiving side.
 TEST(ShardedMonitor, DrainRebalanceKeepsFlagSetBitIdentical) {
   const auto jobs = generated_jobs(6, 1);
   const auto method = core::predictor_by_name("GBTR", tuned(true));
@@ -208,6 +211,56 @@ TEST(ShardedMonitor, DrainRebalanceKeepsFlagSetBitIdentical) {
         }
       }
     }
+  }
+}
+
+// The fleet's error path across a drain handoff, at 2 shards x 2 workers:
+// the migrating job's predictor throws either on the drained source shard
+// (just below the boundary — the receiving engine is then blocked in its
+// handoff wait, which the fleet abort must release) or on the receiving
+// shard (at the boundary). Either way run() rethrows the stage error, and
+// returning at all means every engine's run() drained its in-flight events
+// and the handoff wait was released.
+TEST(ShardedMonitor, StageErrorAcrossDrainHandoffIsRethrown) {
+  const auto jobs = generated_jobs(6, 1);
+  const auto method = core::predictor_by_name("GBTR", tuned(true));
+
+  auto base_config = [&] {
+    ShardedMonitorConfig config;
+    config.shards = 2;
+    config.threads = 2;
+    config.arrivals = sched::poisson_arrivals(3.0);
+    config.arrival_seed = 11;
+    config.placement = least_loaded_placement();
+    return config;
+  };
+  double mid = 0.0;
+  {
+    ShardedMonitor probe(jobs, method, base_config());
+    const auto& events = probe.plan().events;
+    ASSERT_FALSE(events.empty());
+    mid = events[events.size() / 2].admission;
+  }
+  auto config = base_config();
+  config.drains = {{mid, 0}};
+  ShardPlan::Handoff handoff;
+  {
+    ShardedMonitor probe(jobs, method, config);
+    ASSERT_FALSE(probe.plan().handoffs.empty());
+    handoff = probe.plan().handoffs.front();
+  }
+  ASSERT_GT(handoff.boundary, 0u);
+
+  for (const std::size_t fail_at : {handoff.boundary - 1, handoff.boundary}) {
+    SCOPED_TRACE(fail_at < handoff.boundary ? "source shard fails"
+                                            : "receiving shard fails");
+    ShardedMonitor fleet(
+        jobs, failing_method(method, jobs[handoff.job].id, fail_at), config);
+    // The plan does not depend on the method, so the handoff is the same.
+    ASSERT_FALSE(fleet.plan().handoffs.empty());
+    ASSERT_EQ(fleet.plan().handoffs.front().job, handoff.job);
+    ASSERT_EQ(fleet.plan().handoffs.front().boundary, handoff.boundary);
+    expect_injected_failure([&] { fleet.run(); });
   }
 }
 

@@ -1,9 +1,9 @@
 // The serving layer's three contracts (stream_monitor.h):
 //   * serialized serving is bit-identical to the batch harness;
-//   * any worker count and either executor (task-DAG pipeline or the serial
-//     lanes baseline) produce the same per-job records and flag set;
+//   * any worker count produces the same per-job records and flag set;
 //   * the live cluster feed is a deterministic function of the flag set,
 //     identical to posting the same flags up front.
+// Plus the engine's error path: a stage error is rethrown after the drain.
 #include "serve/stream_monitor.h"
 
 #include <gtest/gtest.h>
@@ -14,9 +14,10 @@
 #include <vector>
 
 #include "core/registry.h"
-#include "core/task_dag.h"
 #include "eval/harness.h"
 #include "serve/cluster_sink.h"
+#include "serve/shard_engine.h"
+#include "test_failing_method.h"
 #include "trace/generator.h"
 
 namespace nurd::serve {
@@ -108,80 +109,33 @@ TEST(StreamMonitor, SerializedIsBitIdenticalToRunMethod) {
 
 // The acceptance pin: ordering (RecordingSink asserts per-job checkpoint
 // order on every delivery) and determinism (records + flag set) at 1, 4 and
-// 16 workers, on the DAG executor that serves by default.
+// 16 workers, for a monolithic method and a staged, warm-started one.
 TEST(StreamMonitor, WorkerCountDoesNotChangeRunsOrFlagSet) {
   const auto jobs = generated_jobs(6, /*seed=*/3);
-  const auto method = method_by_name("HBOS");
+  for (const auto* name : {"HBOS", "GBTR"}) {
+    SCOPED_TRACE(name);
+    const auto method = method_by_name(name);
 
-  StreamMonitorConfig serial;
-  serial.threads = 1;
-  RecordingSink serial_sink(jobs.size());
-  serial.sink = serial_sink.sink();
-  const auto reference = StreamMonitor(jobs, method, serial).run();
+    StreamMonitorConfig serial;
+    serial.threads = 1;
+    RecordingSink serial_sink(jobs.size());
+    serial.sink = serial_sink.sink();
+    const auto reference = StreamMonitor(jobs, method, serial).run();
 
-  for (std::size_t threads : {4u, 16u}) {
-    StreamMonitorConfig config;
-    config.threads = threads;
-    ASSERT_EQ(config.executor, ExecutorMode::kDag);  // the default
-    RecordingSink sink(jobs.size());
-    config.sink = sink.sink();
-    StreamMonitor monitor(jobs, method, config);
-    const auto served = monitor.run();
+    for (std::size_t threads : {4u, 16u}) {
+      StreamMonitorConfig config;
+      config.threads = threads;
+      RecordingSink sink(jobs.size());
+      config.sink = sink.sink();
+      StreamMonitor monitor(jobs, method, config);
+      const auto served = monitor.run();
 
-    expect_runs_identical(served.runs, reference.runs);
-    EXPECT_EQ(sink.flag_set(), serial_sink.flag_set())
-        << "flag set drifted at " << threads << " workers";
-    EXPECT_EQ(served.stats.checkpoints, reference.stats.checkpoints);
-    EXPECT_EQ(served.stats.flags, reference.stats.flags);
-  }
-}
-
-// Same pin for the serial-lanes baseline executor, and cross-executor: DAG
-// and lanes must agree bit-for-bit with each other and with serialized.
-TEST(StreamMonitor, ExecutorModeDoesNotChangeRunsOrFlagSet) {
-  const auto jobs = generated_jobs(5, /*seed=*/21);
-  const auto method = method_by_name("GBTR");  // a staged, warm-started method
-
-  StreamMonitorConfig serial;
-  serial.threads = 1;
-  RecordingSink serial_sink(jobs.size());
-  serial.sink = serial_sink.sink();
-  const auto reference = StreamMonitor(jobs, method, serial).run();
-
-  for (ExecutorMode executor : {ExecutorMode::kDag, ExecutorMode::kSerialLanes}) {
-    StreamMonitorConfig config;
-    config.threads = 4;
-    config.executor = executor;
-    RecordingSink sink(jobs.size());
-    config.sink = sink.sink();
-    StreamMonitor monitor(jobs, method, config);
-    const auto served = monitor.run();
-
-    SCOPED_TRACE(executor == ExecutorMode::kDag ? "kDag" : "kSerialLanes");
-    expect_runs_identical(served.runs, reference.runs);
-    EXPECT_EQ(sink.flag_set(), serial_sink.flag_set());
-  }
-}
-
-// The window bounds how far the pipeline runs ahead, never what it computes:
-// the minimum overlapping window (2) and a fully serializing window (1)
-// both reproduce the reference records.
-TEST(StreamMonitor, WindowSizeDoesNotChangeRuns) {
-  const auto jobs = generated_jobs(4, /*seed=*/27);
-  const auto method = method_by_name("HBOS");
-
-  StreamMonitorConfig serial;
-  serial.threads = 1;
-  const auto reference = StreamMonitor(jobs, method, serial).run();
-
-  for (std::size_t window : {1u, 2u, 8u}) {
-    StreamMonitorConfig config;
-    config.threads = 4;
-    config.window = window;
-    StreamMonitor monitor(jobs, method, config);
-    const auto served = monitor.run();
-    SCOPED_TRACE(window);
-    expect_runs_identical(served.runs, reference.runs);
+      expect_runs_identical(served.runs, reference.runs);
+      EXPECT_EQ(sink.flag_set(), serial_sink.flag_set())
+          << "flag set drifted at " << threads << " workers";
+      EXPECT_EQ(served.stats.checkpoints, reference.stats.checkpoints);
+      EXPECT_EQ(served.stats.flags, reference.stats.flags);
+    }
   }
 }
 
@@ -227,9 +181,52 @@ TEST(StreamMonitor, StatsCoverEveryCheckpoint) {
   EXPECT_GE(served.stats.p99_latency_ms, served.stats.p50_latency_ms);
   EXPECT_GE(served.stats.peak_backlog, 1u);
   // Every stage body ran at least once, so every stage accumulated time.
-  for (std::size_t i = 0; i < core::kStageCount; ++i) {
-    EXPECT_GT(served.stats.stage_seconds[i], 0.0) << core::stage_name(
-        static_cast<core::Stage>(i));
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    EXPECT_GT(served.stats.stage_seconds[i], 0.0)
+        << stage_name(static_cast<Stage>(i));
+  }
+}
+
+// The error path: one job's predictor throws at checkpoint 3. Serialized
+// and at 4 workers, the engine rethrows that error from run() only after
+// every admitted event retired (in-flight back to zero), the failing lane
+// stops at the failing checkpoint, and StreamMonitor::run() surfaces the
+// same error.
+TEST(StreamMonitor, StageErrorIsRethrownAfterTheEngineDrains) {
+  const auto jobs = generated_jobs(6, /*seed=*/15);
+  constexpr std::size_t kFailJob = 2;
+  constexpr std::size_t kFailCheckpoint = 3;
+  const auto method = failing_method(method_by_name("HBOS"),
+                                     jobs[kFailJob].id, kFailCheckpoint);
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::vector<JobSession> sessions(jobs.size());
+    std::vector<EngineEvent> events;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      sessions[j].predictor = method.make();
+      sessions[j].run.emplace(jobs[j], *sessions[j].predictor);
+      for (std::size_t t = 0; t < jobs[j].checkpoint_count(); ++t) {
+        events.push_back({jobs[j].trace.tau_run(t),
+                          static_cast<std::uint32_t>(j),
+                          static_cast<std::uint32_t>(t)});
+      }
+    }
+    std::sort(events.begin(), events.end(),
+              [](const EngineEvent& a, const EngineEvent& b) {
+                return std::tie(a.time, a.job, a.checkpoint) <
+                       std::tie(b.time, b.job, b.checkpoint);
+              });
+    EngineConfig config;
+    config.threads = workers;
+    ShardEngine engine(jobs, sessions, std::move(events), config, {});
+    expect_injected_failure([&] { engine.run(); });
+    EXPECT_EQ(engine.inflight(), 0u);
+    EXPECT_EQ(sessions[kFailJob].run->next_checkpoint(), kFailCheckpoint);
+
+    StreamMonitorConfig monitor_config;
+    monitor_config.threads = workers;
+    StreamMonitor monitor(jobs, method, monitor_config);
+    expect_injected_failure([&] { monitor.run(); });
   }
 }
 
