@@ -242,25 +242,20 @@ std::vector<std::size_t> GrabitPredictor::predict_stragglers(
     // censoring horizon moved, both plain target/loss changes. The active
     // set for the continuation rounds is every row whose (features, target)
     // pair moved since the last fit: the trace-change-detected rows (whose
-    // cached scores and bins are refreshed) UNION the still-running rows
-    // (censored targets advanced with τrun even where features did not)
-    // UNION the newly finished rows — a task completing with a
-    // bitwise-unchanged row is in neither of the former sets, yet its
-    // target flipped from censored to its revealed exact latency.
+    // cached scores and bins are refreshed) UNION the retargeted rows — the
+    // still-running rows (censored targets advanced with τrun even where
+    // features did not) and the newly finished rows (a task completing with
+    // a bitwise-unchanged row flipped from censored to its revealed exact
+    // latency).
     model_->set_loss(std::make_unique<ml::TobitLoss>(sigma));
-    view.delta_since(last_fit_cp_, &fin_scratch_, &changed_scratch_);
+    view.delta_since(last_fit_cp_, &retargeted_scratch_, &changed_scratch_);
     const auto running = view.running();
-    changed_scratch_.insert(changed_scratch_.end(), running.begin(),
-                            running.end());
-    changed_scratch_.insert(changed_scratch_.end(), fin_scratch_.begin(),
-                            fin_scratch_.end());
-    std::sort(changed_scratch_.begin(), changed_scratch_.end());
-    changed_scratch_.erase(
-        std::unique(changed_scratch_.begin(), changed_scratch_.end()),
-        changed_scratch_.end());
+    retargeted_scratch_.insert(retargeted_scratch_.end(), running.begin(),
+                               running.end());
     model_->continue_fit(snapshot, targets,
                          std::min(12, std::max(1, params_.n_rounds / 2)),
-                         changed_scratch_);
+                         changed_scratch_, /*inserted_rows=*/{},
+                         retargeted_scratch_);
     last_fit_cp_ = view.index();
   }
 

@@ -189,7 +189,7 @@ class GrabitPredictor final : public StragglerPredictor {
   std::optional<ml::GradientBoosting> model_;
   std::size_t last_fit_cp_ = 0;  ///< checkpoint of model_'s last (re)fit
   std::size_t full_fit_finished_ = 0;  ///< |finished| at the last full fit
-  std::vector<std::size_t> fin_scratch_;
+  std::vector<std::size_t> retargeted_scratch_;  ///< newly finished + running
   std::vector<std::size_t> changed_scratch_;
 };
 

@@ -68,6 +68,7 @@ void GradientBoosting::fit(const Matrix& x, std::span<const Target> targets) {
 
   if (params_.warm_start) {
     train_score_ = std::move(score);
+    score_trees_.assign(n, trees_.size());
     binner_ = std::move(binner);
     rng_ = rng;
     n_trained_ = n;
@@ -78,7 +79,8 @@ void GradientBoosting::fit(const Matrix& x, std::span<const Target> targets) {
 void GradientBoosting::continue_fit(
     const Matrix& x, std::span<const Target> targets, int rounds,
     std::span<const std::size_t> changed_rows,
-    std::span<const std::size_t> inserted_rows) {
+    std::span<const std::size_t> inserted_rows,
+    std::span<const std::size_t> retargeted_rows) {
   NURD_CHECK(params_.warm_start,
              "continue_fit requires warm_start in the params");
   NURD_CHECK(fitted_, "continue_fit requires a prior fit");
@@ -89,7 +91,7 @@ void GradientBoosting::continue_fit(
              "inserted_rows must account for every new row");
   NURD_CHECK(rounds >= 0, "rounds must be non-negative");
   const std::size_t n = x.rows();
-  // Validate the splice map BEFORE the remap loops below walk the old
+  // Validate the splice map BEFORE the remap loop below walks the old
   // buffers: an unsorted or duplicated position would otherwise overrun the
   // carried-over prefix first and only then hit a guard.
   for (std::size_t i = 0; i < inserted_rows.size(); ++i) {
@@ -97,33 +99,44 @@ void GradientBoosting::continue_fit(
                    (i == 0 || inserted_rows[i] > inserted_rows[i - 1]),
                "inserted_rows must be strictly ascending and in range");
   }
-
-  // Refresh the cached training scores: inserted rows and caller-reported
-  // changed rows pass through the ensemble once; every other row's cache is
-  // carried (appends) or remapped (mid-block insertions) over. This is the
-  // O(n + Δ·trees) step a from-scratch refit pays as O(n·rounds) instead.
-  if (inserted_rows.empty()) {
-    train_score_.resize(n);
-    for (std::size_t r = n_trained_; r < n; ++r) {
-      train_score_[r] = predict_raw(x.row(r));
-    }
-  } else {
-    std::vector<double> remapped(n);
-    std::size_t old_r = 0;
-    std::size_t next = 0;
-    for (std::size_t r = 0; r < n; ++r) {
-      if (next < inserted_rows.size() && inserted_rows[next] == r) {
-        remapped[r] = predict_raw(x.row(r));
-        ++next;
-      } else {
-        remapped[r] = train_score_[old_r++];
-      }
-    }
-    train_score_ = std::move(remapped);
-  }
   for (const auto r : changed_rows) {
     NURD_CHECK(r < n, "changed row index out of range");
-    train_score_[r] = predict_raw(x.row(r));
+  }
+  for (const auto r : retargeted_rows) {
+    NURD_CHECK(r < n, "retargeted row index out of range");
+  }
+
+  // Carry (appends) or remap in place, back to front (mid-block insertions)
+  // the cached training scores. Inserted and changed rows restart from the
+  // base score with no trees folded in; like every row whose cache lags the
+  // ensemble, they replay the missing trees when boost() next reads them.
+  // This is the O(n) step a from-scratch refit pays as O(n·rounds) instead.
+  const std::size_t n_old = n_trained_;
+  train_score_.resize(n);
+  score_trees_.resize(n);
+  if (inserted_rows.empty()) {
+    std::fill(train_score_.begin() + static_cast<std::ptrdiff_t>(n_old),
+              train_score_.end(), base_score_);
+    std::fill(score_trees_.begin() + static_cast<std::ptrdiff_t>(n_old),
+              score_trees_.end(), 0u);
+  } else {
+    std::size_t old_r = n_old;
+    std::size_t next = inserted_rows.size();
+    for (std::size_t r = n; r-- > 0;) {
+      if (next > 0 && inserted_rows[next - 1] == r) {
+        --next;
+        train_score_[r] = base_score_;
+        score_trees_[r] = 0;
+      } else {
+        --old_r;
+        train_score_[r] = train_score_[old_r];
+        score_trees_[r] = score_trees_[old_r];
+      }
+    }
+  }
+  for (const auto r : changed_rows) {
+    train_score_[r] = base_score_;
+    score_trees_[r] = 0;
   }
 
   // The binner is built once, the first time the fit reaches histogram
@@ -147,18 +160,21 @@ void GradientBoosting::continue_fit(
   }
 
   // Active-set continuation: a converged ensemble's gradient is concentrated
-  // on the rows whose (features, target) pair actually moved — the inserted
-  // and changed rows — so the continuation trees are fitted on that subset
-  // (plus anchors, below) only. Each round then costs O(|active|·d) for
-  // split finding plus O(n·depth) to keep every cached score current,
-  // instead of the full fit's O(n·d): the round COUNT stays at the full
-  // budget (residual absorption is multiplicative per round, (1−lr)^rounds,
-  // and does not shrink with the delta), the round COST is what the delta
-  // buys down. With nothing marked new or changed the subset is empty and
+  // on the rows whose (features, target) pair actually moved — the inserted,
+  // changed and retargeted rows — so the continuation trees are fitted on
+  // that subset (plus anchors, below) only. Each round then costs
+  // O(|active|·d) for split finding and O(|active|·depth) for the score
+  // update; every other row's score catches up lazily. The round COUNT stays
+  // at the caller's budget (residual absorption is multiplicative per round,
+  // (1−lr)^rounds, and does not shrink with the delta), the round COST is
+  // what the delta buys down. With nothing marked the subset is empty and
   // the rounds fall back to whole-block boosting (plain "more rounds"
   // continuation).
   std::vector<std::size_t> subset(inserted_rows.begin(), inserted_rows.end());
   subset.insert(subset.end(), changed_rows.begin(), changed_rows.end());
+  subset.insert(subset.end(), retargeted_rows.begin(), retargeted_rows.end());
+  std::sort(subset.begin(), subset.end());
+  subset.erase(std::unique(subset.begin(), subset.end()), subset.end());
 
   // Anchors: a sample of settled rows (gradient ≈ 0), three per moved row,
   // joins the active set. Without them a tree fitted on moved rows alone
@@ -172,15 +188,42 @@ void GradientBoosting::continue_fit(
         std::min(n - subset.size(), 3 * subset.size());
     const auto sampled = rng_.sample_without_replacement(n, anchors);
     subset.insert(subset.end(), sampled.begin(), sampled.end());
+    std::sort(subset.begin(), subset.end());
+    subset.erase(std::unique(subset.begin(), subset.end()), subset.end());
   }
-  std::sort(subset.begin(), subset.end());
-  subset.erase(std::unique(subset.begin(), subset.end()), subset.end());
 
+  // The rounds read the active rows' scores (every row's, without an active
+  // set): bring those up to date first, and mark them current after.
+  if (subset.empty()) {
+    for (std::size_t r = 0; r < n; ++r) catch_up(x, r);
+  } else {
+    for (const auto r : subset) catch_up(x, r);
+  }
   const double rate =
       std::min(0.5, params_.warm_rate_factor * params_.learning_rate);
   boost(x, targets, rounds, rate, train_score_,
         binner_ ? &*binner_ : nullptr, rng_, subset);
+  const auto folded = static_cast<std::uint32_t>(trees_.size());
+  if (subset.empty()) {
+    std::fill(score_trees_.begin(), score_trees_.end(), folded);
+  } else {
+    for (const auto r : subset) score_trees_[r] = folded;
+  }
   n_trained_ = n;
+}
+
+// Replays the trees row r's cached score is missing, in ensemble order and
+// with predict_raw's arithmetic (score += rate_k · tree_k(row)) — the same
+// multiply-then-add every boosting round's score update performs, so a
+// caught-up score is bit-identical to one updated eagerly each round.
+void GradientBoosting::catch_up(const Matrix& x, std::size_t r) {
+  std::uint32_t k = score_trees_[r];
+  if (k == trees_.size()) return;
+  const auto row = x.row(r);
+  double s = train_score_[r];
+  for (; k < trees_.size(); ++k) s += tree_rate_[k] * trees_[k].predict(row);
+  train_score_[r] = s;
+  score_trees_[r] = k;
 }
 
 void GradientBoosting::continue_fit(const Matrix& x, std::span<const double> y,
@@ -202,7 +245,17 @@ void GradientBoosting::boost(const Matrix& x, std::span<const Target> targets,
   std::vector<std::size_t> all_rows(n);
   std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
   const bool active_set = !subset.empty();
+  const bool resample = !active_set && params_.subsample < 1.0;
   const auto& kops = kernel::ops();
+
+  // The call's root rows (the active set, or every row) are fixed across
+  // rounds, so the exact builder sorts them once here; only per-round row
+  // subsamples re-presort.
+  const std::span<const std::size_t> root =
+      active_set ? subset : std::span<const std::size_t>(all_rows);
+  ExactOrder order;
+  if (binner == nullptr && !resample) order.assign(x, root);
+  std::vector<std::size_t> sample;
 
   for (int round = 0; round < rounds; ++round) {
     if (active_set) {
@@ -216,27 +269,31 @@ void GradientBoosting::boost(const Matrix& x, std::span<const Target> targets,
       loss_->grad_hess_batch(targets, score, grad, hess);
     }
 
-    std::vector<std::size_t> rows;
-    if (active_set) {
-      rows.assign(subset.begin(), subset.end());
-    } else if (params_.subsample >= 1.0) {
-      rows = all_rows;
-    } else {
+    std::span<const std::size_t> rows = root;
+    if (resample) {
       const auto k = std::max<std::size_t>(
           1, static_cast<std::size_t>(
                  params_.subsample * static_cast<double>(n)));
-      rows = rng.sample_without_replacement(n, k);
+      sample = rng.sample_without_replacement(n, k);
+      rows = sample;
+      if (binner == nullptr) order.assign(x, rows);
     }
 
     RegressionTree tree;
     if (binner != nullptr) {
       tree.fit(x, *binner, grad, hess, rows, params_.tree, rng);
     } else {
-      tree.fit(x, grad, hess, rows, params_.tree, rng);
+      tree.fit(x, order, grad, hess, params_.tree, rng);
     }
 
-    for (std::size_t i = 0; i < n; ++i) pred[i] = tree.predict(x.row(i));
-    kops.axpy(rate, pred.data(), score.data(), n);
+    if (active_set) {
+      // Only the active rows' scores are read by later rounds; the rest
+      // catch up when next read (catch_up).
+      for (const auto i : subset) score[i] += rate * tree.predict(x.row(i));
+    } else {
+      for (std::size_t i = 0; i < n; ++i) pred[i] = tree.predict(x.row(i));
+      kops.axpy(rate, pred.data(), score.data(), n);
+    }
     trees_.push_back(std::move(tree));
     tree_rate_.push_back(rate);
   }

@@ -6,6 +6,7 @@
 //   * Grabit (Tobit loss)            — censored-regression baseline
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -72,13 +73,20 @@ class GradientBoosting {
   /// Rows of `x` must be the previous fit's rows in their old relative order
   /// with any new rows spliced in at the (sorted) positions `inserted_rows`
   /// — empty means they were appended at the tail, the common convention.
-  /// Prior rows are assumed unchanged except for the (new-layout) indices in
-  /// `changed_rows`; inserted and changed rows pass through the ensemble
-  /// once to refresh the cached training scores and histogram bins, every
-  /// other row's cache is carried (or remapped) over. Targets may change
-  /// freely between calls (each round recomputes gradients), which is how
-  /// censored fits advance their horizon and Grabit re-scales σ.
-  /// `rounds == 0` just absorbs the new/changed rows.
+  /// Prior rows' features are assumed unchanged except for the (new-layout)
+  /// indices in `changed_rows`; inserted and changed rows get fresh cached
+  /// scores and histogram bins, every other row's cache is carried (or
+  /// remapped) over. Targets may change freely between calls (each round
+  /// recomputes gradients), which is how censored fits advance their horizon
+  /// and Grabit re-scales σ; `retargeted_rows` names rows whose target alone
+  /// moved, which join the active set (below) without a score or bin
+  /// refresh. `rounds == 0` just absorbs the new/changed rows.
+  ///
+  /// Cost: O(n) to carry the caches plus, per round, O(|active|·d) split
+  /// finding (the exact builder presorts the active set once per call) and
+  /// O(|active|·depth) score updates. Rows outside the active set do not
+  /// pay per round: their cached score records how many trees it includes
+  /// and replays the rest, bit-identically, when a later call reads it.
   ///
   /// Continuation rounds run at warm_rate_factor × learning_rate (capped at
   /// 0.5): the rows a continuation must absorb are exactly the
@@ -87,7 +95,8 @@ class GradientBoosting {
   /// that tracks the reference refit much more closely.
   void continue_fit(const Matrix& x, std::span<const Target> targets,
                     int rounds, std::span<const std::size_t> changed_rows = {},
-                    std::span<const std::size_t> inserted_rows = {});
+                    std::span<const std::size_t> inserted_rows = {},
+                    std::span<const std::size_t> retargeted_rows = {});
 
   /// continue_fit with plain (uncensored) targets.
   void continue_fit(const Matrix& x, std::span<const double> y, int rounds,
@@ -132,11 +141,12 @@ class GradientBoosting {
  private:
   /// The shared boosting loop: `rounds` gradient/tree/score iterations at
   /// step size `rate`, appending to trees_ (each tree remembers its own rate
-  /// in tree_rate_). With `subset` empty every round trains on all rows of
-  /// `x` (fit()'s path — subsampling applies); with a non-empty `subset` the
-  /// rounds are active-set continuations: gradients and tree fits cover the
-  /// subset only, while the score update still sweeps every row so the
-  /// caches stay current.
+  /// in tree_rate_). With `subset` empty every round trains on and updates
+  /// the scores of all rows of `x` (fit()'s path — subsampling applies);
+  /// with a non-empty (sorted) `subset` the rounds are active-set
+  /// continuations: gradients, tree fits and score updates cover the subset
+  /// only. Exact-backend trees share one ExactOrder presorted per call (per
+  /// round only when subsampling).
   void boost(const Matrix& x, std::span<const Target> targets, int rounds,
              double rate, std::vector<double>& score,
              const FeatureBinner* binner, Rng& rng,
@@ -153,7 +163,12 @@ class GradientBoosting {
   bool fitted_ = false;
 
   // Warm-start state, retained only when params_.warm_start.
+  /// Brings row r's cached score up to the full ensemble (see catch_up).
+  void catch_up(const Matrix& x, std::size_t r);
+
   std::vector<double> train_score_;      ///< cached raw score per training row
+  /// Per training row: how many leading trees train_score_ includes.
+  std::vector<std::uint32_t> score_trees_;
   std::optional<FeatureBinner> binner_;  ///< frozen-edge binner
   Rng rng_{0};                           ///< continues fit()'s stream
   std::size_t n_trained_ = 0;            ///< rows covered by the last fit

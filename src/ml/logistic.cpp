@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/check.h"
 #include "common/linalg.h"
@@ -12,21 +13,37 @@ namespace nurd::ml {
 
 namespace {
 
+/// log(1+e⁰), evaluated at run time exactly as the overflow-safe form below
+/// evaluates it for z = ±0 (the volatile keeps the compiler from folding it
+/// to a differently rounded constant).
+double log1p_exp_zero() {
+  volatile double zero = 0.0;
+  return std::log1p(std::exp(-std::abs(zero)));
+}
+
 /// Penalized negative log-likelihood at θ = [w; b] (bias unpenalized), the
 /// merit function of the warm path's damped Newton. log(1+eᶻ) is evaluated
 /// in its overflow-safe form. The decision values go through kernel::dot
-/// (reference backend: the seed's exact accumulation order).
+/// (reference backend: the seed's exact accumulation order) and are left in
+/// `z` (length xs.rows()): they are bit-equal to what kernel::gemv computes
+/// at θ — both backends' gemv is a per-row dot, and x·θ multiplies the same
+/// pairs as θ·x — so an accepted trial's z stands in for the next Newton
+/// iteration's gemv.
 double penalized_nll(const Matrix& xs, std::span<const double> y,
                      std::span<const double> sample_weight, double l2,
-                     std::span<const double> theta) {
+                     std::span<const double> theta, double* z) {
   const std::size_t d = xs.cols();
   const auto& kops = kernel::ops();
+  // At the cold start every z is zero; skip its exp/log1p per row.
+  static const double log1p_one = log1p_exp_zero();
   double nll = 0.0;
   for (std::size_t i = 0; i < xs.rows(); ++i) {
-    const double z = kops.dot(theta[d], theta.data(), xs.row(i).data(), d);
-    const double log1pexp = std::max(z, 0.0) + std::log1p(std::exp(-std::abs(z)));
+    z[i] = kops.dot(theta[d], theta.data(), xs.row(i).data(), d);
+    const double log1pexp =
+        z[i] == 0.0 ? log1p_one
+                    : std::max(z[i], 0.0) + std::log1p(std::exp(-std::abs(z[i])));
     const double sw = sample_weight.empty() ? 1.0 : sample_weight[i];
-    nll += sw * (log1pexp - y[i] * z);
+    nll += sw * (log1pexp - y[i] * z[i]);
   }
   for (std::size_t j = 0; j < d; ++j) nll += 0.5 * l2 * theta[j] * theta[j];
   return nll;
@@ -70,6 +87,14 @@ void LogisticRegression::fit(const Matrix& x, std::span<const double> y,
   // Parameter vector θ = [w; b], dimension d+1 (bias last, unpenalized).
   const std::size_t p = d + 1;
   std::vector<double> theta(p, 0.0);
+  // The damped path's objective at θ, once an evaluation has produced it
+  // (the warm-start safeguard, then each accepted trial) — reused rather
+  // than recomputed at the top of the next iteration.
+  std::optional<double> objective;
+  // z = X·θ, the next iteration's decision values, and z_trial, scratch for
+  // objective evaluations. z_current: an evaluation at θ already filled z.
+  std::vector<double> z(n), z_trial(n), mu(n);
+  bool z_current = false;
   if (warm) {
     const auto& mu = scaler_.mean();
     const auto& sd = scaler_.scale();
@@ -83,10 +108,17 @@ void LogisticRegression::fit(const Matrix& x, std::span<const double> y,
     // Newton stalls instead of converging. Only keep the warm point if it
     // actually beats the cold start on the new objective.
     const std::vector<double> zero(p, 0.0);
-    if (penalized_nll(xs, y, sample_weight, params_.l2, theta) >
-        penalized_nll(xs, y, sample_weight, params_.l2, zero)) {
+    const double warm_obj =
+        penalized_nll(xs, y, sample_weight, params_.l2, theta, z.data());
+    const double cold_obj = penalized_nll(xs, y, sample_weight, params_.l2,
+                                          zero, z_trial.data());
+    objective = warm_obj;
+    if (warm_obj > cold_obj) {
       std::fill(theta.begin(), theta.end(), 0.0);
+      objective = cold_obj;
+      z.swap(z_trial);
     }
+    z_current = true;
   }
 
   auto weight_of = [&](std::size_t i) {
@@ -94,7 +126,6 @@ void LogisticRegression::fit(const Matrix& x, std::span<const double> y,
   };
 
   const auto& kops = kernel::ops();
-  std::vector<double> z(n), mu(n);
   for (int it = 0; it < params_.max_iterations; ++it) {
     // Gradient and Hessian of the penalized negative log-likelihood. The
     // X·θ product, the per-sample sigmoids, the Xᵀ·r accumulation (axpy) and
@@ -104,7 +135,10 @@ void LogisticRegression::fit(const Matrix& x, std::span<const double> y,
     // the pre-kernel solver bit-for-bit.
     std::vector<double> grad(p, 0.0);
     Matrix hess(p, p, 0.0);
-    kops.gemv(xs.flat().data(), n, d, theta.data(), theta[d], z.data());
+    if (!z_current) {
+      kops.gemv(xs.flat().data(), n, d, theta.data(), theta[d], z.data());
+    }
+    z_current = false;
     kops.sigmoid(z.data(), mu.data(), n);
     double* hess_data = hess.row(0).data();
     for (std::size_t i = 0; i < n; ++i) {
@@ -147,7 +181,9 @@ void LogisticRegression::fit(const Matrix& x, std::span<const double> y,
       // keep the current estimate rather than committing a worsening one;
       // max_step stays 0 and the solve stops here.
       const double obj =
-          penalized_nll(xs, y, sample_weight, params_.l2, theta);
+          objective ? *objective
+                    : penalized_nll(xs, y, sample_weight, params_.l2, theta,
+                                    z_trial.data());
       double scale = 1.0;
       bool accepted = false;
       std::vector<double> trial(p);
@@ -155,8 +191,14 @@ void LogisticRegression::fit(const Matrix& x, std::span<const double> y,
         for (std::size_t j = 0; j < p; ++j) {
           trial[j] = theta[j] - scale * step[j];
         }
-        if (penalized_nll(xs, y, sample_weight, params_.l2, trial) <= obj) {
+        const double trial_obj = penalized_nll(xs, y, sample_weight,
+                                               params_.l2, trial,
+                                               z_trial.data());
+        if (trial_obj <= obj) {
           accepted = true;
+          objective = trial_obj;
+          z.swap(z_trial);
+          z_current = true;
           break;
         }
         scale *= 0.5;

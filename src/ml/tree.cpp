@@ -24,19 +24,45 @@ double leaf_objective(double g, double h, double lambda) {
   return -0.5 * g * g / (h + lambda);
 }
 
-/// The feature subset scanned at one node (all features, or a colsample
-/// draw). Shared by both backends so they consume the Rng identically.
-std::vector<std::size_t> node_features(std::size_t d, const TreeParams& params,
-                                       Rng& rng) {
+/// Calls `scan(f)` for every feature tried at one node: all of them in
+/// order (no Rng draw, no list), or a colsample draw. Shared by both
+/// backends so they consume the Rng identically.
+template <typename Scan>
+void for_node_features(std::size_t d, const TreeParams& params, Rng& rng,
+                       Scan&& scan) {
   if (params.colsample >= 1.0) {
-    std::vector<std::size_t> features(d);
-    std::iota(features.begin(), features.end(), std::size_t{0});
-    return features;
+    for (std::size_t f = 0; f < d; ++f) scan(f);
+    return;
   }
   const auto k = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::llround(params.colsample * static_cast<double>(d))));
-  return rng.sample_without_replacement(d, k);
+  for (const auto f : rng.sample_without_replacement(d, k)) scan(f);
+}
+
+/// Stable in-place partition of `seg[0, m)`: rows with `goes_left(r)` keep
+/// their relative order at the front, the rest follow in theirs (staged
+/// through `spill`, which holds at least m). Returns the left count.
+template <typename Pred>
+std::size_t stable_partition(std::size_t* seg, std::size_t m,
+                             std::size_t* spill, Pred&& goes_left) {
+  std::size_t n_left = 0, n_right = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t r = seg[i];
+    if (goes_left(r)) {
+      seg[n_left++] = r;
+    } else {
+      spill[n_right++] = r;
+    }
+  }
+  std::copy(spill, spill + n_right, seg + n_left);
+  return n_left;
+}
+
+/// Upper bound on a tree's node count, so one reserve covers the fit.
+std::size_t max_nodes(int max_depth, std::size_t n_rows) {
+  const int levels = std::clamp(max_depth, 0, 20) + 1;
+  return std::min((std::size_t{1} << levels) - 1, 2 * n_rows - 1);
 }
 
 /// Work is fanned out over the pool only when it dwarfs task overhead.
@@ -215,225 +241,84 @@ void FeatureBinner::rebin_rows(const Matrix& x,
   }
 }
 
-// Histogram-backend fit state. Histograms are flat aligned double arrays
-// with kernel::kHistBinStride slots per bin — (G, H, count, pad), one AVX2
-// vector each — accumulated and sibling-subtracted through the kernel
-// dispatch layer. offset[f]*kHistBinStride locates feature f's bins.
-struct RegressionTree::HistContext {
-  const FeatureBinner& binner;
+void ExactOrder::assign(const Matrix& x, std::span<const std::size_t> rows) {
+  NURD_CHECK(!rows.empty(), "cannot presort zero rows");
+  n_ = rows.size();
+  d_ = x.cols();
+  sorted_.resize((d_ + 1) * n_);
+  work_.resize(sorted_.size());
+  spill_.resize(n_);
+  left_.resize(x.rows());
+  for (std::size_t i = 0; i < n_; ++i) {
+    NURD_CHECK(rows[i] < x.rows(), "presorted row out of range");
+    sorted_[i] = rows[i];
+  }
+  // The chain: feature f's order is the stable sort of feature f−1's.
+  for (std::size_t f = 0; f < d_; ++f) {
+    auto* const prev = sorted_.data() + f * n_;
+    auto* const seg = prev + n_;
+    std::copy(prev, prev + n_, seg);
+    std::stable_sort(seg, seg + n_, [&](std::size_t a, std::size_t b) {
+      return x(a, f) < x(b, f);
+    });
+  }
+}
+
+std::int32_t RegressionTree::push_leaf(double g_total, double h_total,
+                                       double lambda, int depth) {
+  Node leaf;
+  leaf.value = -g_total / (h_total + lambda);
+  leaf.depth = depth;
+  nodes_.push_back(leaf);
+  return static_cast<std::int32_t>(nodes_.size() - 1);
+}
+
+// The slot is reserved before the children recurse, so they land after it.
+std::int32_t RegressionTree::push_split(std::size_t feature, double threshold,
+                                        int depth) {
+  Node node;
+  node.value = threshold;
+  node.feature = static_cast<std::int32_t>(feature);
+  node.depth = depth;
+  nodes_.push_back(node);
+  return static_cast<std::int32_t>(nodes_.size() - 1);
+}
+
+// Exact-backend fit state. The order's work_ holds the (d+1) presorted
+// segments, and every node owns the same [begin, end) range of each.
+struct RegressionTree::ExactContext {
+  const Matrix& x;
+  ExactOrder& order;
   std::span<const double> grad;
   std::span<const double> hess;
   const TreeParams& params;
   Rng& rng;
-  std::vector<std::size_t> offset;  // per-feature bin offset; back() = total
 };
 
-std::int32_t RegressionTree::build_hist(HistContext& ctx,
-                                        std::vector<std::size_t>& rows,
-                                        int depth,
-                                        AlignedVector<double>&& hist) {
+std::int32_t RegressionTree::build_exact(ExactContext& ctx, std::size_t begin,
+                                         std::size_t end, int depth) {
   const auto& params = ctx.params;
+  const Matrix& x = ctx.x;
+  ExactOrder& order = ctx.order;
+  const std::size_t n = order.n_;
+  const std::size_t m = end - begin;
+  std::size_t* const work = order.work_.data();
+
   double g_total = 0.0, h_total = 0.0;
   kernel::ops().pair_sum_indexed(ctx.grad.data(), ctx.hess.data(),
-                                 rows.data(), rows.size(), &g_total,
-                                 &h_total);
-
-  const auto make_leaf = [&]() -> std::int32_t {
-    Node leaf;
-    leaf.is_leaf = true;
-    leaf.value = -g_total / (h_total + params.lambda);
-    leaf.depth = depth;
-    nodes_.push_back(leaf);
-    return static_cast<std::int32_t>(nodes_.size() - 1);
-  };
-
-  if (depth >= params.max_depth || rows.size() < 2) return make_leaf();
-
-  const FeatureBinner& binner = ctx.binner;
-  const std::size_t d = binner.cols();
-  const auto features = node_features(d, params, ctx.rng);
-
-  if (hist.empty()) hist = compute_histogram(ctx, rows);
+                                 work + begin, m, &g_total, &h_total);
+  if (depth >= params.max_depth || m < 2) {
+    return push_leaf(g_total, h_total, params.lambda, depth);
+  }
 
   const double parent_obj = leaf_objective(g_total, h_total, params.lambda);
-  const double n_node = static_cast<double>(rows.size());
   SplitCandidate best;
-
-  for (const auto f : features) {
-    const std::size_t nb = binner.bin_count(f);
-    if (nb < 2) continue;  // constant feature
-    const double* bins = hist.data() + ctx.offset[f] * kernel::kHistBinStride;
-    double g_left = 0.0, h_left = 0.0, n_left = 0.0;
-    for (std::size_t b = 0; b + 1 < nb; ++b) {
-      g_left += bins[b * kernel::kHistBinStride];
-      h_left += bins[b * kernel::kHistBinStride + 1];
-      n_left += bins[b * kernel::kHistBinStride + 2];
-      if (n_left == 0.0) continue;        // empty prefix: same as no split
-      if (n_left == n_node) break;        // empty suffix: no more candidates
-      const double g_right = g_total - g_left;
-      const double h_right = h_total - h_left;
-      if (h_left < params.min_child_weight ||
-          h_right < params.min_child_weight) {
-        continue;
-      }
-      const double gain = parent_obj -
-                          leaf_objective(g_left, h_left, params.lambda) -
-                          leaf_objective(g_right, h_right, params.lambda);
-      if (gain > best.gain) {
-        best.gain = gain;
-        best.feature = f;
-        best.threshold = binner.edge(f, b);
-        best.bin = b;
-      }
-    }
-  }
-
-  if (best.gain <= params.gamma) return make_leaf();
-
-  std::vector<std::size_t> left_rows, right_rows;
-  left_rows.reserve(rows.size());
-  right_rows.reserve(rows.size());
-  for (const auto r : rows) {
-    (binner.bin(best.feature, r) <= best.bin ? left_rows : right_rows)
-        .push_back(r);
-  }
-  if (left_rows.empty() || right_rows.empty()) return make_leaf();
-
-  // Reserve this node's slot before recursing so children land after it.
-  Node node;
-  node.is_leaf = false;
-  node.feature = best.feature;
-  node.threshold = best.threshold;
-  node.depth = depth;
-  nodes_.push_back(node);
-  const auto self = static_cast<std::int32_t>(nodes_.size() - 1);
-
-  AlignedVector<double> left_hist, right_hist;
-  if (depth + 1 < params.max_depth) {
-    // Sibling subtraction: accumulate only the smaller child; the larger
-    // child's histogram is parent − smaller, reusing the parent's storage.
-    const bool left_small = left_rows.size() <= right_rows.size();
-    auto& small_rows = left_small ? left_rows : right_rows;
-    AlignedVector<double> small_hist = compute_histogram(ctx, small_rows);
-    kernel::ops().hist_subtract(hist.data(), small_hist.data(), hist.size());
-    if (left_small) {
-      left_hist = std::move(small_hist);
-      right_hist = std::move(hist);
-    } else {
-      right_hist = std::move(small_hist);
-      left_hist = std::move(hist);
-    }
-  }
-  hist.clear();
-  hist.shrink_to_fit();
-
-  const auto left = build_hist(ctx, left_rows, depth + 1,
-                               std::move(left_hist));
-  const auto right = build_hist(ctx, right_rows, depth + 1,
-                                std::move(right_hist));
-  nodes_[static_cast<std::size_t>(self)].left = left;
-  nodes_[static_cast<std::size_t>(self)].right = right;
-  return self;
-}
-
-// Accumulates the (G, H, count) histogram of `rows` for every feature,
-// fanning features out over the shared pool when the node is large. Each
-// feature writes a disjoint range and accumulates in row order through the
-// kernel layer, so the result is bit-identical for any pool size AND any
-// backend (per-bin adds are serial in row order; see kernel.h).
-AlignedVector<double> RegressionTree::compute_histogram(
-    const HistContext& ctx, const std::vector<std::size_t>& rows) {
-  const FeatureBinner& binner = ctx.binner;
-  const std::size_t d = binner.cols();
-  AlignedVector<double> hist(ctx.offset.back() * kernel::kHistBinStride, 0.0);
-
-  const auto& kops = kernel::ops();
-  const auto accumulate_feature = [&](std::size_t f) {
-    double* bins = hist.data() + ctx.offset[f] * kernel::kHistBinStride;
-    kops.hist_accumulate(bins, binner.bin_column(f), rows.data(), rows.size(),
-                         ctx.grad.data(), ctx.hess.data());
-  };
-
-  if (rows.size() * d >= kParallelWorkCutoff) {
-    ThreadPool::global().parallel_for(d, accumulate_feature);
-  } else {
-    for (std::size_t f = 0; f < d; ++f) accumulate_feature(f);
-  }
-  return hist;
-}
-
-void RegressionTree::fit(const Matrix& x, std::span<const double> grad,
-                         std::span<const double> hess,
-                         std::span<const std::size_t> rows,
-                         const TreeParams& params, Rng& rng) {
-  NURD_CHECK(grad.size() == x.rows() && hess.size() == x.rows(),
-             "grad/hess length must match row count");
-  NURD_CHECK(!rows.empty(), "cannot fit a tree on zero rows");
-  if (histogram_enabled(params, rows.size())) {
-    const FeatureBinner binner(x, rows, params.max_bins);
-    fit(x, binner, grad, hess, rows, params, rng);
-    return;
-  }
-  nodes_.clear();
-  std::vector<std::size_t> work(rows.begin(), rows.end());
-  build(x, grad, hess, work, 0, params, rng);
-}
-
-void RegressionTree::fit(const Matrix& x, const FeatureBinner& binner,
-                         std::span<const double> grad,
-                         std::span<const double> hess,
-                         std::span<const std::size_t> rows,
-                         const TreeParams& params, Rng& rng) {
-  NURD_CHECK(grad.size() == x.rows() && hess.size() == x.rows(),
-             "grad/hess length must match row count");
-  NURD_CHECK(!rows.empty(), "cannot fit a tree on zero rows");
-  NURD_CHECK(binner.rows() == x.rows() && binner.cols() == x.cols(),
-             "binner shape must match the feature matrix");
-  nodes_.clear();
-  std::vector<std::size_t> work(rows.begin(), rows.end());
-
-  HistContext ctx{binner, grad, hess, params, rng, {}};
-  ctx.offset.resize(binner.cols() + 1, 0);
-  for (std::size_t f = 0; f < binner.cols(); ++f) {
-    ctx.offset[f + 1] = ctx.offset[f] + binner.bin_count(f);
-  }
-  build_hist(ctx, work, 0, {});
-}
-
-std::int32_t RegressionTree::build(const Matrix& x,
-                                   std::span<const double> grad,
-                                   std::span<const double> hess,
-                                   std::vector<std::size_t>& rows, int depth,
-                                   const TreeParams& params, Rng& rng) {
-  double g_total = 0.0, h_total = 0.0;
-  kernel::ops().pair_sum_indexed(grad.data(), hess.data(), rows.data(),
-                                 rows.size(), &g_total, &h_total);
-
-  const auto make_leaf = [&]() -> std::int32_t {
-    Node leaf;
-    leaf.is_leaf = true;
-    leaf.value = -g_total / (h_total + params.lambda);
-    leaf.depth = depth;
-    nodes_.push_back(leaf);
-    return static_cast<std::int32_t>(nodes_.size() - 1);
-  };
-
-  if (depth >= params.max_depth || rows.size() < 2) return make_leaf();
-
-  const auto features = node_features(x.cols(), params, rng);
-  const double parent_obj = leaf_objective(g_total, h_total, params.lambda);
-  SplitCandidate best;
-
-  std::vector<std::size_t> sorted = rows;
-  for (std::size_t f : features) {
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return x(a, f) < x(b, f);
-                     });
+  for_node_features(order.d_, params, ctx.rng, [&](std::size_t f) {
+    const std::size_t* const sorted = work + (f + 1) * n + begin;
     double g_left = 0.0, h_left = 0.0;
-    for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-      g_left += grad[sorted[i]];
-      h_left += hess[sorted[i]];
+    for (std::size_t i = 0; i + 1 < m; ++i) {
+      g_left += ctx.grad[sorted[i]];
+      h_left += ctx.hess[sorted[i]];
       const double v = x(sorted[i], f);
       const double v_next = x(sorted[i + 1], f);
       if (v_next <= v) continue;  // can't split between equal values
@@ -452,48 +337,246 @@ std::int32_t RegressionTree::build(const Matrix& x,
         best.threshold = 0.5 * (v + v_next);
       }
     }
+  });
+  if (best.gain <= params.gamma) {
+    return push_leaf(g_total, h_total, params.lambda, depth);
   }
 
+  std::uint8_t* const left = order.left_.data();
+  std::size_t n_left = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t r = work[i];
+    left[r] = x(r, best.feature) <= best.threshold ? 1 : 0;
+    n_left += left[r];
+  }
+  if (n_left == 0 || n_left == m) {
+    return push_leaf(g_total, h_total, params.lambda, depth);
+  }
+  for (std::size_t seg = 0; seg <= order.d_; ++seg) {
+    stable_partition(work + seg * n + begin, m, order.spill_.data(),
+                     [left](std::size_t r) { return left[r] != 0; });
+  }
+
+  const auto self = push_split(best.feature, best.threshold, depth);
+  const auto l = build_exact(ctx, begin, begin + n_left, depth + 1);
+  const auto r = build_exact(ctx, begin + n_left, end, depth + 1);
+  nodes_[static_cast<std::size_t>(self)].left = l;
+  nodes_[static_cast<std::size_t>(self)].right = r;
+  return self;
+}
+
+// Histogram-backend fit state. Histograms are flat aligned double arrays
+// with kernel::kHistBinStride slots per bin — (G, H, count, pad), one AVX2
+// vector each — accumulated and sibling-subtracted through the kernel
+// dispatch layer. offset[f]*kHistBinStride locates feature f's bins. The
+// root rows are partitioned in place per node, and histograms a node is done
+// with go to `spare` for the next one to reuse.
+struct RegressionTree::HistContext {
+  const FeatureBinner& binner;
+  std::span<const double> grad;
+  std::span<const double> hess;
+  const TreeParams& params;
+  Rng& rng;
+  std::vector<std::size_t> offset;  // per-feature bin offset; back() = total
+  std::vector<std::size_t> rows;
+  std::vector<std::size_t> spill;
+  std::vector<AlignedVector<double>> spare;
+
+  void recycle(AlignedVector<double>& hist) {
+    if (!hist.empty()) spare.push_back(std::move(hist));
+  }
+};
+
+std::int32_t RegressionTree::build_hist(HistContext& ctx, std::size_t begin,
+                                        std::size_t end, int depth,
+                                        AlignedVector<double>&& hist) {
+  const auto& params = ctx.params;
+  std::size_t* const rows = ctx.rows.data() + begin;
+  const std::size_t m = end - begin;
+  double g_total = 0.0, h_total = 0.0;
+  kernel::ops().pair_sum_indexed(ctx.grad.data(), ctx.hess.data(), rows, m,
+                                 &g_total, &h_total);
+
+  const auto make_leaf = [&]() {
+    ctx.recycle(hist);
+    return push_leaf(g_total, h_total, params.lambda, depth);
+  };
+  if (depth >= params.max_depth || m < 2) return make_leaf();
+
+  const FeatureBinner& binner = ctx.binner;
+  if (hist.empty()) hist = compute_histogram(ctx, rows, m);
+
+  const double parent_obj = leaf_objective(g_total, h_total, params.lambda);
+  const double n_node = static_cast<double>(m);
+  SplitCandidate best;
+  for_node_features(binner.cols(), params, ctx.rng, [&](std::size_t f) {
+    const std::size_t nb = binner.bin_count(f);
+    if (nb < 2) return;  // constant feature
+    const double* bins = hist.data() + ctx.offset[f] * kernel::kHistBinStride;
+    double g_left = 0.0, h_left = 0.0, n_left = 0.0;
+    for (std::size_t b = 0; b + 1 < nb; ++b) {
+      const double* bin = bins + b * kernel::kHistBinStride;
+      // An empty bin leaves the prefix sums as they were, so its candidate
+      // repeats the previous one, which cannot win twice: skip it. Only
+      // exact zeros qualify — sibling subtraction can leave rounding residue
+      // in an empty bin's sums, and that residue must still be added.
+      if (bin[2] == 0.0 && bin[0] == 0.0 && bin[1] == 0.0) continue;
+      g_left += bin[0];
+      h_left += bin[1];
+      n_left += bin[2];
+      if (n_left == 0.0) continue;        // empty prefix: same as no split
+      if (n_left == n_node) break;        // empty suffix: no more candidates
+      const double g_right = g_total - g_left;
+      const double h_right = h_total - h_left;
+      if (h_left < params.min_child_weight ||
+          h_right < params.min_child_weight) {
+        continue;
+      }
+      const double gain = parent_obj -
+                          leaf_objective(g_left, h_left, params.lambda) -
+                          leaf_objective(g_right, h_right, params.lambda);
+      if (gain > best.gain) {
+        best.gain = gain;
+        best.feature = f;
+        best.threshold = binner.edge(f, b);
+        best.bin = b;
+      }
+    }
+  });
   if (best.gain <= params.gamma) return make_leaf();
 
-  std::vector<std::size_t> left_rows, right_rows;
-  left_rows.reserve(rows.size());
-  right_rows.reserve(rows.size());
-  for (auto r : rows) {
-    (x(r, best.feature) <= best.threshold ? left_rows : right_rows)
-        .push_back(r);
-  }
-  if (left_rows.empty() || right_rows.empty()) return make_leaf();
+  const std::size_t n_left = stable_partition(
+      rows, m, ctx.spill.data(), [&](std::size_t r) {
+        return binner.bin(best.feature, r) <= best.bin;
+      });
+  if (n_left == 0 || n_left == m) return make_leaf();
 
-  // Reserve this node's slot before recursing so children land after it.
-  Node node;
-  node.is_leaf = false;
-  node.feature = best.feature;
-  node.threshold = best.threshold;
-  node.depth = depth;
-  nodes_.push_back(node);
-  const auto self = static_cast<std::int32_t>(nodes_.size() - 1);
-  const auto left = build(x, grad, hess, left_rows, depth + 1, params, rng);
-  const auto right = build(x, grad, hess, right_rows, depth + 1, params, rng);
-  nodes_[static_cast<std::size_t>(self)].left = left;
-  nodes_[static_cast<std::size_t>(self)].right = right;
+  const auto self = push_split(best.feature, best.threshold, depth);
+  AlignedVector<double> left_hist, right_hist;
+  if (depth + 1 < params.max_depth) {
+    // Sibling subtraction: accumulate only the smaller child; the larger
+    // child's histogram is parent − smaller, reusing the parent's storage.
+    const bool left_small = n_left <= m - n_left;
+    AlignedVector<double> small_hist =
+        left_small ? compute_histogram(ctx, rows, n_left)
+                   : compute_histogram(ctx, rows + n_left, m - n_left);
+    kernel::ops().hist_subtract(hist.data(), small_hist.data(), hist.size());
+    left_hist = std::move(left_small ? small_hist : hist);
+    right_hist = std::move(left_small ? hist : small_hist);
+  } else {
+    ctx.recycle(hist);
+  }
+
+  const auto l = build_hist(ctx, begin, begin + n_left, depth + 1,
+                            std::move(left_hist));
+  const auto r = build_hist(ctx, begin + n_left, end, depth + 1,
+                            std::move(right_hist));
+  nodes_[static_cast<std::size_t>(self)].left = l;
+  nodes_[static_cast<std::size_t>(self)].right = r;
   return self;
+}
+
+// Accumulates the (G, H, count) histogram of `rows` for every feature,
+// fanning features out over the shared pool when the node is large. Each
+// feature writes a disjoint range and accumulates in row order through the
+// kernel layer, so the result is bit-identical for any pool size AND any
+// backend (per-bin adds are serial in row order; see kernel.h).
+AlignedVector<double> RegressionTree::compute_histogram(
+    HistContext& ctx, const std::size_t* rows, std::size_t count) {
+  const FeatureBinner& binner = ctx.binner;
+  const std::size_t d = binner.cols();
+  AlignedVector<double> hist;
+  if (!ctx.spare.empty()) {
+    hist = std::move(ctx.spare.back());
+    ctx.spare.pop_back();
+    std::fill(hist.begin(), hist.end(), 0.0);
+  } else {
+    hist.assign(ctx.offset.back() * kernel::kHistBinStride, 0.0);
+  }
+
+  const auto& kops = kernel::ops();
+  const auto accumulate_feature = [&](std::size_t f) {
+    double* bins = hist.data() + ctx.offset[f] * kernel::kHistBinStride;
+    kops.hist_accumulate(bins, binner.bin_column(f), rows, count,
+                         ctx.grad.data(), ctx.hess.data());
+  };
+
+  if (count * d >= kParallelWorkCutoff) {
+    ThreadPool::global().parallel_for(d, accumulate_feature);
+  } else {
+    for (std::size_t f = 0; f < d; ++f) accumulate_feature(f);
+  }
+  return hist;
+}
+
+void RegressionTree::fit(const Matrix& x, std::span<const double> grad,
+                         std::span<const double> hess,
+                         std::span<const std::size_t> rows,
+                         const TreeParams& params, Rng& rng) {
+  NURD_CHECK(!rows.empty(), "cannot fit a tree on zero rows");
+  if (histogram_enabled(params, rows.size())) {
+    const FeatureBinner binner(x, rows, params.max_bins);
+    fit(x, binner, grad, hess, rows, params, rng);
+    return;
+  }
+  ExactOrder order(x, rows);
+  fit(x, order, grad, hess, params, rng);
+}
+
+void RegressionTree::fit(const Matrix& x, ExactOrder& order,
+                         std::span<const double> grad,
+                         std::span<const double> hess,
+                         const TreeParams& params, Rng& rng) {
+  NURD_CHECK(grad.size() == x.rows() && hess.size() == x.rows(),
+             "grad/hess length must match row count");
+  NURD_CHECK(order.n_ > 0 && order.d_ == x.cols() &&
+                 order.left_.size() == x.rows(),
+             "the exact order must be presorted from this matrix");
+  nodes_.clear();
+  nodes_.reserve(max_nodes(params.max_depth, order.n_));
+  std::copy(order.sorted_.begin(), order.sorted_.end(), order.work_.begin());
+  ExactContext ctx{x, order, grad, hess, params, rng};
+  build_exact(ctx, 0, order.n_, 0);
+}
+
+void RegressionTree::fit(const Matrix& x, const FeatureBinner& binner,
+                         std::span<const double> grad,
+                         std::span<const double> hess,
+                         std::span<const std::size_t> rows,
+                         const TreeParams& params, Rng& rng) {
+  NURD_CHECK(grad.size() == x.rows() && hess.size() == x.rows(),
+             "grad/hess length must match row count");
+  NURD_CHECK(!rows.empty(), "cannot fit a tree on zero rows");
+  NURD_CHECK(binner.rows() == x.rows() && binner.cols() == x.cols(),
+             "binner shape must match the feature matrix");
+  nodes_.clear();
+  nodes_.reserve(max_nodes(params.max_depth, rows.size()));
+
+  HistContext ctx{binner, grad, hess, params, rng, {}, {}, {}, {}};
+  ctx.offset.resize(binner.cols() + 1, 0);
+  for (std::size_t f = 0; f < binner.cols(); ++f) {
+    ctx.offset[f + 1] = ctx.offset[f] + binner.bin_count(f);
+  }
+  ctx.rows.assign(rows.begin(), rows.end());
+  ctx.spill.resize(rows.size());
+  build_hist(ctx, 0, rows.size(), 0, {});
 }
 
 double RegressionTree::predict(std::span<const double> row) const {
   if (nodes_.empty()) return 0.0;
   std::size_t i = 0;
-  while (!nodes_[i].is_leaf) {
+  while (nodes_[i].feature >= 0) {
     const auto& n = nodes_[i];
-    i = static_cast<std::size_t>(row[n.feature] <= n.threshold ? n.left
-                                                               : n.right);
+    i = static_cast<std::size_t>(
+        row[static_cast<std::size_t>(n.feature)] <= n.value ? n.left
+                                                            : n.right);
   }
   return nodes_[i].value;
 }
 
 std::size_t RegressionTree::leaf_count() const {
   std::size_t c = 0;
-  for (const auto& n : nodes_) c += n.is_leaf ? 1 : 0;
+  for (const auto& n : nodes_) c += n.feature < 0 ? 1 : 0;
   return c;
 }
 

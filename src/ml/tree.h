@@ -5,15 +5,19 @@
 //   split gain  ½[G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)] − γ
 //
 // Two split-finding backends share that formulation:
-//   * exact greedy — sorts the node's rows per feature and scans every
-//     distinct-value boundary; O(d · n log n) per node, best for tiny fits;
+//   * exact greedy — scans every distinct-value boundary of every feature in
+//     sorted order. The sort happens once per boosting call (ExactOrder):
+//     O(d · n log n) up front, then O(d · n) per tree level, because each
+//     node stable-partitions its presorted segments in place instead of
+//     re-sorting. Best for small fits;
 //   * histogram (LightGBM-style) — quantile-bins each feature once per fit,
 //     accumulates per-bin (G, H) sums per node, and scans bin boundaries;
 //     O(d · n) per tree level, with the sibling-subtraction trick (child
 //     histogram = parent − other child) halving construction cost. Per-
 //     feature histogram builds fan out over the shared ThreadPool.
 // Both backends are deterministic: identical inputs and Rng state produce a
-// bit-identical tree regardless of thread count.
+// bit-identical tree regardless of thread count, and neither allocates per
+// node.
 #pragma once
 
 #include <cstddef>
@@ -112,16 +116,63 @@ class FeatureBinner {
   std::vector<std::uint16_t> bins_;         ///< column-major [f·rows + r]
 };
 
+/// The exact builder's presorted row orders for one boosting call: the
+/// call's root rows in their given order, plus one chained stable sort of
+/// them per feature — feature f's order is the stable sort by x(·, f) of
+/// feature f−1's order, the order a per-node re-sort over the features
+/// 0..d−1 produces. A node's rows are always a subsequence of the root rows
+/// in root order, and a stable sort commutes with taking a subsequence, so
+/// the node's segment of each presorted order IS that node's re-sorted
+/// order: with colsample = 1 the trees are bit-identical to re-sorting at
+/// every node. (With colsample < 1 a node re-sorting over a drawn subset
+/// would chain through different features, so sums inside a tie group may
+/// add in another order.) Buffers are allocated by assign() and reused by
+/// every tree fitted from this order.
+class ExactOrder {
+ public:
+  ExactOrder() = default;
+
+  /// Presorts `rows` (distinct indices into `x`) — O(d · n log n).
+  ExactOrder(const Matrix& x, std::span<const std::size_t> rows) {
+    assign(x, rows);
+  }
+
+  /// Re-presorts for a new root row set (per-round row subsampling),
+  /// reusing the buffers.
+  void assign(const Matrix& x, std::span<const std::size_t> rows);
+
+  /// Root rows, in root order.
+  std::span<const std::size_t> rows() const { return {sorted_.data(), n_}; }
+
+ private:
+  friend class RegressionTree;
+
+  std::size_t n_ = 0;
+  std::size_t d_ = 0;
+  /// (d+1) segments of n: [0] the root order, [1+f] feature f's order.
+  std::vector<std::size_t> sorted_;
+  std::vector<std::size_t> work_;    ///< per-tree copy, partitioned per node
+  std::vector<std::size_t> spill_;   ///< right-child scratch (n)
+  std::vector<std::uint8_t> left_;   ///< per row of x: goes left at a split
+};
+
 /// A fitted regression tree. Nodes are stored in a flat array; leaves carry
 /// the Newton-step value −G/(H+λ).
 class RegressionTree {
  public:
   /// Grows a tree on the sample subset `rows` of `x`, using per-sample
   /// gradients and Hessians. `rng` drives column subsampling only. The
-  /// backend follows `params.split`; histogram mode bins internally.
+  /// backend follows `params.split`; histogram mode bins internally and
+  /// exact mode presorts internally.
   void fit(const Matrix& x, std::span<const double> grad,
            std::span<const double> hess, std::span<const std::size_t> rows,
            const TreeParams& params, Rng& rng);
+
+  /// Exact-backend fit on the root rows of an order presorted once per
+  /// boosting call (`order` must have been assigned from `x`). The order's
+  /// scratch is rewritten; its presorted orders are not.
+  void fit(const Matrix& x, ExactOrder& order, std::span<const double> grad,
+           std::span<const double> hess, const TreeParams& params, Rng& rng);
 
   /// Histogram-backend fit reusing a binner built once per boosting fit.
   /// `binner` must cover all rows of `x`.
@@ -143,28 +194,34 @@ class RegressionTree {
   int depth() const;
 
  private:
+  /// 24 bytes: `feature == -1` marks a leaf, whose `value` is the leaf
+  /// value; an internal node sends x[feature] <= value left.
   struct Node {
-    bool is_leaf = true;
-    double value = 0.0;       // leaf value
-    std::size_t feature = 0;  // split feature (internal nodes)
-    double threshold = 0.0;   // go left if x[feature] <= threshold
+    double value = 0.0;
+    std::int32_t feature = -1;
     std::int32_t left = -1;
     std::int32_t right = -1;
     std::int32_t depth = 0;
   };
+  static_assert(sizeof(Node) == 24);
 
-  struct HistContext;  // histogram-backend fit state (tree.cpp)
+  struct ExactContext;  // exact-backend fit state (tree.cpp)
+  struct HistContext;   // histogram-backend fit state (tree.cpp)
 
-  std::int32_t build(const Matrix& x, std::span<const double> grad,
-                     std::span<const double> hess,
-                     std::vector<std::size_t>& rows, int depth,
-                     const TreeParams& params, Rng& rng);
+  std::int32_t build_exact(ExactContext& ctx, std::size_t begin,
+                           std::size_t end, int depth);
 
-  std::int32_t build_hist(HistContext& ctx, std::vector<std::size_t>& rows,
-                          int depth, AlignedVector<double>&& hist);
+  std::int32_t build_hist(HistContext& ctx, std::size_t begin,
+                          std::size_t end, int depth,
+                          AlignedVector<double>&& hist);
 
-  static AlignedVector<double> compute_histogram(
-      const HistContext& ctx, const std::vector<std::size_t>& rows);
+  static AlignedVector<double> compute_histogram(HistContext& ctx,
+                                                 const std::size_t* rows,
+                                                 std::size_t count);
+
+  std::int32_t push_leaf(double g_total, double h_total, double lambda,
+                         int depth);
+  std::int32_t push_split(std::size_t feature, double threshold, int depth);
 
   std::vector<Node> nodes_;
 };
