@@ -247,13 +247,18 @@ std::vector<std::size_t> GrabitPredictor::predict_stragglers(
     // features did not) and the newly finished rows (a task completing with
     // a bitwise-unchanged row flipped from censored to its revealed exact
     // latency).
+    //
+    // Running rows alone keep the active set near the whole snapshot late in
+    // a job, so a round costs about what a full-fit round does; the
+    // continuation therefore runs at most 8 rounds, at a larger tuned step
+    // (RegistryConfig::grabit_warm_rate), to stay ≥3x cheaper than a refit.
     model_->set_loss(std::make_unique<ml::TobitLoss>(sigma));
     view.delta_since(last_fit_cp_, &retargeted_scratch_, &changed_scratch_);
     const auto running = view.running();
     retargeted_scratch_.insert(retargeted_scratch_.end(), running.begin(),
                                running.end());
     model_->continue_fit(snapshot, targets,
-                         std::min(12, std::max(1, params_.n_rounds / 2)),
+                         std::min(8, std::max(1, params_.n_rounds / 2)),
                          changed_scratch_, /*inserted_rows=*/{},
                          retargeted_scratch_);
     last_fit_cp_ = view.index();

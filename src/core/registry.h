@@ -44,8 +44,9 @@ struct RegistryConfig {
   double gbt_warm_rate = 1.0;
   /// Grabit's own continuation step factor (per-method per-dataset tuning,
   /// exactly the paper's §6 methodology): its censored loss spreads each
-  /// correction across the uncensored/censored boundary, so it wants less
-  /// damping than the squared-loss methods on the same dataset.
+  /// correction across the uncensored/censored boundary, and its
+  /// continuation boosts at most 8 rounds over nearly every row, so it wants
+  /// larger steps than the squared-loss methods on the same dataset.
   double grabit_warm_rate = 1.0;
   double nurd_alpha = 0.35;    ///< tuned on pilot jobs per §6's procedure —
                                ///< the paper's own tuned value is 0.5; our
