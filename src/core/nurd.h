@@ -44,10 +44,13 @@ struct NurdParams {
   double epsilon = 0.05;  ///< minimum positive weight ε
   bool calibrate = true;  ///< false ⇒ NURD-NC (w = z)
   /// Latency-model settings. The default SplitMethod::kAuto matters here:
-  /// Algorithm 1 refits ht at every checkpoint on the growing finished set,
-  /// so early (tiny) refits take the exact backend while late (large) ones
-  /// take the O(d·n) histogram backend — the dominant hot path of the whole
-  /// reproduction.
+  /// Algorithm 1 refits ht at every checkpoint on the growing finished set —
+  /// the dominant hot path of the whole reproduction. Refits below
+  /// exact_cutoff rows take the exact backend, which sorts the block once
+  /// per fit (O(d·n log n)) and then pays O(d·n) per tree level; larger ones
+  /// take the histogram backend at O(d·n) per level. Under kIncremental a
+  /// warm continuation pays O(d·|active|) per round on the newly finished
+  /// rows plus anchors instead (GradientBoosting::continue_fit).
   ml::GbtParams gbt;
   ml::LogisticParams propensity;  ///< PS-model settings
   /// Checkpoint refit strategy (see core/fit_session.h for the contract).

@@ -40,8 +40,9 @@ double penalized_nll(const Matrix& xs, std::span<const double> y,
   for (std::size_t i = 0; i < xs.rows(); ++i) {
     z[i] = kops.dot(theta[d], theta.data(), xs.row(i).data(), d);
     const double log1pexp =
-        z[i] == 0.0 ? log1p_one
-                    : std::max(z[i], 0.0) + std::log1p(std::exp(-std::abs(z[i])));
+        z[i] == 0.0
+            ? log1p_one
+            : std::max(z[i], 0.0) + std::log1p(std::exp(-std::abs(z[i])));
     const double sw = sample_weight.empty() ? 1.0 : sample_weight[i];
     nll += sw * (log1pexp - y[i] * z[i]);
   }

@@ -415,15 +415,9 @@ std::int32_t RegressionTree::build_hist(HistContext& ctx, std::size_t begin,
     const double* bins = hist.data() + ctx.offset[f] * kernel::kHistBinStride;
     double g_left = 0.0, h_left = 0.0, n_left = 0.0;
     for (std::size_t b = 0; b + 1 < nb; ++b) {
-      const double* bin = bins + b * kernel::kHistBinStride;
-      // An empty bin leaves the prefix sums as they were, so its candidate
-      // repeats the previous one, which cannot win twice: skip it. Only
-      // exact zeros qualify — sibling subtraction can leave rounding residue
-      // in an empty bin's sums, and that residue must still be added.
-      if (bin[2] == 0.0 && bin[0] == 0.0 && bin[1] == 0.0) continue;
-      g_left += bin[0];
-      h_left += bin[1];
-      n_left += bin[2];
+      g_left += bins[b * kernel::kHistBinStride];
+      h_left += bins[b * kernel::kHistBinStride + 1];
+      n_left += bins[b * kernel::kHistBinStride + 2];
       if (n_left == 0.0) continue;        // empty prefix: same as no split
       if (n_left == n_node) break;        // empty suffix: no more candidates
       const double g_right = g_total - g_left;

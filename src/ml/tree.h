@@ -16,8 +16,9 @@
 //     histogram = parent − other child) halving construction cost. Per-
 //     feature histogram builds fan out over the shared ThreadPool.
 // Both backends are deterministic: identical inputs and Rng state produce a
-// bit-identical tree regardless of thread count, and neither allocates per
-// node.
+// bit-identical tree regardless of thread count. Nodes partition their rows
+// in place; the exact backend's buffers live in the ExactOrder, and the
+// histogram backend recycles histogram buffers from node to node.
 #pragma once
 
 #include <cstddef>

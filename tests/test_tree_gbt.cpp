@@ -274,7 +274,9 @@ struct RefTree {
       return static_cast<int>(nodes.size()) - 1;
     };
     if (depth >= p.max_depth || rows.size() < 2) return leaf();
-    const auto obj = [&](double a, double b) { return -0.5 * a * a / (b + p.lambda); };
+    const auto obj = [&](double a, double b) {
+      return -0.5 * a * a / (b + p.lambda);
+    };
     double best = -std::numeric_limits<double>::infinity(), thr = 0.0;
     std::size_t bf = 0;
     std::vector<std::size_t> s = rows;
@@ -287,9 +289,16 @@ struct RefTree {
         gl += g[s[i]];
         hl += h[s[i]];
         const double v = x(s[i], f), vn = x(s[i + 1], f);
-        if (vn <= v || hl < p.min_child_weight || ht - hl < p.min_child_weight) continue;
+        if (vn <= v || hl < p.min_child_weight ||
+            ht - hl < p.min_child_weight) {
+          continue;
+        }
         const double gain = obj(gt, ht) - obj(gl, hl) - obj(gt - gl, ht - hl);
-        if (gain > best) { best = gain; bf = f; thr = 0.5 * (v + vn); }
+        if (gain > best) {
+          best = gain;
+          bf = f;
+          thr = 0.5 * (v + vn);
+        }
       }
     }
     if (best <= p.gamma) return leaf();
@@ -309,7 +318,8 @@ struct RefTree {
     std::size_t i = 0;
     while (!nodes[i].leaf) {
       const auto& n = nodes[i];
-      i = static_cast<std::size_t>(row[n.feature] <= n.value ? n.left : n.right);
+      i = static_cast<std::size_t>(row[n.feature] <= n.value ? n.left
+                                                             : n.right);
     }
     return nodes[i].value;
   }
@@ -430,7 +440,8 @@ void boost_both(const TieData& d, const GbtParams& params, int rounds,
     loss.grad_hess_batch(targets, score, grad, hess);
     std::vector<std::size_t> rows = all;
     if (params.subsample < 1.0) {
-      const auto k = static_cast<std::size_t>(params.subsample * static_cast<double>(n));
+      const auto k = static_cast<std::size_t>(params.subsample *
+                                              static_cast<double>(n));
       rows = rng.sample_without_replacement(n, k);
       order.assign(d.x, rows);
     }
