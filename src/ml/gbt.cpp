@@ -194,36 +194,40 @@ void GradientBoosting::continue_fit(
 
   // The rounds read the active rows' scores (every row's, without an active
   // set): bring those up to date first, and mark them current after.
+  std::vector<std::size_t> all_rows;
   if (subset.empty()) {
-    for (std::size_t r = 0; r < n; ++r) catch_up(x, r);
-  } else {
-    for (const auto r : subset) catch_up(x, r);
+    all_rows.resize(n);
+    std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
   }
+  const std::span<const std::size_t> read =
+      subset.empty() ? std::span<const std::size_t>(all_rows) : subset;
+  catch_up(x, read);
   const double rate =
       std::min(0.5, params_.warm_rate_factor * params_.learning_rate);
   boost(x, targets, rounds, rate, train_score_,
         binner_ ? &*binner_ : nullptr, rng_, subset);
-  const auto folded = static_cast<std::uint32_t>(trees_.size());
-  if (subset.empty()) {
-    std::fill(score_trees_.begin(), score_trees_.end(), folded);
-  } else {
-    for (const auto r : subset) score_trees_[r] = folded;
+  for (const auto r : read) {
+    score_trees_[r] = static_cast<std::uint32_t>(trees_.size());
   }
   n_trained_ = n;
 }
 
-// Replays the trees row r's cached score is missing, in ensemble order and
-// with predict_raw's arithmetic (score += rate_k · tree_k(row)) — the same
-// multiply-then-add every boosting round's score update performs, so a
-// caught-up score is bit-identical to one updated eagerly each round.
-void GradientBoosting::catch_up(const Matrix& x, std::size_t r) {
-  std::uint32_t k = score_trees_[r];
-  if (k == trees_.size()) return;
-  const auto row = x.row(r);
-  double s = train_score_[r];
-  for (; k < trees_.size(); ++k) s += tree_rate_[k] * trees_[k].predict(row);
-  train_score_[r] = s;
-  score_trees_[r] = k;
+// Replays the trees the listed rows' cached scores are missing, in
+// ensemble order and with predict_raw's arithmetic (score += rate_k ·
+// tree_k(row)) — the same multiply-then-add every boosting round's score
+// update performs, so a caught-up score is bit-identical to one updated
+// eagerly each round.
+void GradientBoosting::catch_up(const Matrix& x,
+                                std::span<const std::size_t> rows) {
+  for (const auto r : rows) {
+    const auto row = x.row(r);
+    double s = train_score_[r];
+    for (std::size_t k = score_trees_[r]; k < trees_.size(); ++k) {
+      s += tree_rate_[k] * trees_[k].predict(row);
+    }
+    train_score_[r] = s;
+    score_trees_[r] = static_cast<std::uint32_t>(trees_.size());
+  }
 }
 
 void GradientBoosting::continue_fit(const Matrix& x, std::span<const double> y,

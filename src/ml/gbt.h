@@ -163,8 +163,8 @@ class GradientBoosting {
   bool fitted_ = false;
 
   // Warm-start state, retained only when params_.warm_start.
-  /// Brings row r's cached score up to the full ensemble (see catch_up).
-  void catch_up(const Matrix& x, std::size_t r);
+  /// Brings the listed rows' cached scores up to the full ensemble.
+  void catch_up(const Matrix& x, std::span<const std::size_t> rows);
 
   std::vector<double> train_score_;      ///< cached raw score per training row
   /// Per training row: how many leading trees train_score_ includes.

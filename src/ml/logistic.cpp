@@ -23,22 +23,20 @@ double log1p_exp_zero() {
 
 /// Penalized negative log-likelihood at θ = [w; b] (bias unpenalized), the
 /// merit function of the warm path's damped Newton. log(1+eᶻ) is evaluated
-/// in its overflow-safe form. The decision values go through kernel::dot
-/// (reference backend: the seed's exact accumulation order) and are left in
-/// `z` (length xs.rows()): they are bit-equal to what kernel::gemv computes
-/// at θ — both backends' gemv is a per-row dot, and x·θ multiplies the same
-/// pairs as θ·x — so an accepted trial's z stands in for the next Newton
+/// in its overflow-safe form. The decision values z = X·θ come from
+/// kernel::gemv — the same call the Newton iteration makes — and are left in
+/// `z` (length xs.rows()), so an accepted trial's z stands in for the next
 /// iteration's gemv.
 double penalized_nll(const Matrix& xs, std::span<const double> y,
                      std::span<const double> sample_weight, double l2,
                      std::span<const double> theta, double* z) {
+  const std::size_t n = xs.rows();
   const std::size_t d = xs.cols();
-  const auto& kops = kernel::ops();
+  kernel::ops().gemv(xs.flat().data(), n, d, theta.data(), theta[d], z);
   // At the cold start every z is zero; skip its exp/log1p per row.
   static const double log1p_one = log1p_exp_zero();
   double nll = 0.0;
-  for (std::size_t i = 0; i < xs.rows(); ++i) {
-    z[i] = kops.dot(theta[d], theta.data(), xs.row(i).data(), d);
+  for (std::size_t i = 0; i < n; ++i) {
     const double log1pexp =
         z[i] == 0.0
             ? log1p_one

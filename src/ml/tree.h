@@ -133,7 +133,7 @@ class ExactOrder {
  public:
   ExactOrder() = default;
 
-  /// Presorts `rows` (distinct indices into `x`) — O(d · n log n).
+  /// Presorts `rows` (indices into `x`) — O(d · n log n).
   ExactOrder(const Matrix& x, std::span<const std::size_t> rows) {
     assign(x, rows);
   }
@@ -141,9 +141,6 @@ class ExactOrder {
   /// Re-presorts for a new root row set (per-round row subsampling),
   /// reusing the buffers.
   void assign(const Matrix& x, std::span<const std::size_t> rows);
-
-  /// Root rows, in root order.
-  std::span<const std::size_t> rows() const { return {sorted_.data(), n_}; }
 
  private:
   friend class RegressionTree;
