@@ -17,7 +17,6 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -155,14 +154,18 @@ class ReferenceBackend {
  public:
   ReferenceBackend() { kernel::set_backend(kernel::Backend::kReference); }
   ~ReferenceBackend() { kernel::set_backend(kernel::Backend::kReference); }
+  ReferenceBackend(const ReferenceBackend&) = delete;
+  ReferenceBackend& operator=(const ReferenceBackend&) = delete;
 };
 
 TEST(Fingerprints, MatchGolden) {
+  // Read before compute_all starts the pool's worker threads.
+  const char* regen =
+      std::getenv("NURD_REGEN_FINGERPRINTS");  // NOLINT(concurrency-mt-unsafe)
   ReferenceBackend backend;
   const auto actual = compute_all();
   ASSERT_EQ(actual.size(), 2u * 2u * std::size(kMethods));
 
-  const char* regen = std::getenv("NURD_REGEN_FINGERPRINTS");
   if (regen != nullptr && std::string(regen) == "1") {
     write_golden(golden_path(), actual);
     GTEST_SKIP() << "regenerated " << golden_path();
