@@ -137,13 +137,16 @@ void ThreadPool::parallel_for(std::size_t count,
   // that threw recorded state->error under state->mutex before its final
   // done increment, so reading it here (same lock held) is the annotated
   // version of the hand-off the old code left to the acq_rel counter alone.
+  // The error is MOVED out, not copied: a copy would leave the exception
+  // with a second owner in the LoopState, released on whichever thread
+  // drops the last shared_ptr — a refcount race on the exception object.
   std::exception_ptr error;
   {
     MutexLock lock(state->mutex);
     while (state->done.load(std::memory_order_acquire) != count) {
       state->cv.wait(state->mutex);
     }
-    error = state->error;
+    std::swap(error, state->error);
   }
   if (error) std::rethrow_exception(error);
 }
@@ -193,16 +196,6 @@ void ThreadPool::run_indexed(std::size_t count, std::size_t threads,
   }
   ThreadPool pool(std::min(threads, count) - 1);
   pool.parallel_for(count, fn);
-}
-
-ThreadPool& ThreadPool::global() {
-  // Leaked intentionally: joining workers during static destruction can
-  // deadlock with other atexit handlers, and the OS reclaims the threads.
-  static ThreadPool* pool = [] {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return new ThreadPool(hw > 1 ? hw - 1 : 0);
-  }();
-  return *pool;
 }
 
 }  // namespace nurd

@@ -1,9 +1,11 @@
 // A small work-stealing-free thread pool built for deterministic data
-// parallelism. The library's two hot fan-outs — per-feature histogram
-// construction inside RegressionTree and per-job evaluation in the harness —
-// are index-parallel loops whose tasks write to disjoint slots, so the
+// parallelism. Concurrency has one level: the executor's lanes — per-job
+// evaluation and trace generation in run_indexed's pools, per-job serving
+// tasks on the serving engine's pool, one inline lane per serving shard —
+// and everything a lane calls (tree fits included) runs serially on it.
+// The per-job loops are index-parallel and write disjoint slots, so the
 // workhorse primitive is a blocking parallel_for; the serving layer
-// additionally dispatches detached per-job tasks through submit().
+// dispatches detached per-job tasks through submit().
 //
 // Determinism contract: parallel_for(count, fn) calls fn(i) exactly once for
 // every i in [0, count). Which thread runs which index is unspecified, but as
@@ -53,8 +55,7 @@ class ThreadPool {
   ///
   /// A parallel_for issued from inside another parallel_for's task runs
   /// serially on the issuing thread: the outer loop already owns the
-  /// hardware, so nested fan-out would only oversubscribe it (e.g. harness
-  /// job lanes each containing pool-hungry histogram fits).
+  /// hardware, so nested fan-out would only oversubscribe it.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn)
       NURD_EXCLUDES(mutex_);
@@ -83,11 +84,6 @@ class ThreadPool {
   /// True when a detached task died with an exception that no submit() or
   /// parallel_for() call has surfaced yet.
   bool poisoned() const NURD_EXCLUDES(mutex_);
-
-  /// Process-wide shared pool sized to the hardware: hardware_concurrency−1
-  /// workers (the caller supplies the remaining lane), so a single-core
-  /// machine gets a zero-worker pool and fully serial execution.
-  static ThreadPool& global();
 
   /// The shared lane-resolution idiom of the evaluation harness and the
   /// trace generator: runs fn(i) for every i in [0, count) across `threads`

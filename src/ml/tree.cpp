@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "kernel/kernel.h"
 
 namespace nurd::ml {
@@ -63,9 +62,6 @@ std::size_t max_nodes(int max_depth, std::size_t n_rows) {
   const int levels = std::clamp(max_depth, 0, 20) + 1;
   return std::min((std::size_t{1} << levels) - 1, 2 * n_rows - 1);
 }
-
-/// Work is fanned out over the pool only when it dwarfs task overhead.
-constexpr std::size_t kParallelWorkCutoff = 8192;
 
 /// Quantile-sketch edges for one sorted value array: greedy bin packing at
 /// ~n/max_bins rows per bin, cutting only between distinct values. With at
@@ -140,7 +136,7 @@ FeatureBinner::FeatureBinner(const Matrix& x,
   edges_.resize(n_cols_);
   bins_.resize(n_cols_ * n_rows_);
 
-  const auto bin_feature = [&](std::size_t f) {
+  for (std::size_t f = 0; f < n_cols_; ++f) {
     const auto col = x.col_view(f);
     std::vector<double> vals;
     vals.reserve(rows.size());
@@ -156,12 +152,6 @@ FeatureBinner::FeatureBinner(const Matrix& x,
           std::lower_bound(edges.begin(), edges.end(), col[r]);
       out[r] = static_cast<std::uint16_t>(it - edges.begin());
     }
-  };
-
-  if (n_rows_ * n_cols_ >= kParallelWorkCutoff) {
-    ThreadPool::global().parallel_for(n_cols_, bin_feature);
-  } else {
-    for (std::size_t f = 0; f < n_cols_; ++f) bin_feature(f);
   }
 }
 
@@ -263,12 +253,20 @@ void ExactOrder::assign(const Matrix& x, std::span<const std::size_t> rows) {
   }
 }
 
+// The leaf's value also goes to every row of its segment (rows[0, m)) in the
+// caller's per-row buffer, when there is one.
 std::int32_t RegressionTree::push_leaf(double g_total, double h_total,
-                                       double lambda, int depth) {
+                                       double lambda, int depth,
+                                       double* leaf_out,
+                                       const std::size_t* rows,
+                                       std::size_t m) {
   Node leaf;
   leaf.value = -g_total / (h_total + lambda);
   leaf.depth = depth;
   nodes_.push_back(leaf);
+  if (leaf_out != nullptr) {
+    for (std::size_t i = 0; i < m; ++i) leaf_out[rows[i]] = leaf.value;
+  }
   return static_cast<std::int32_t>(nodes_.size() - 1);
 }
 
@@ -285,6 +283,7 @@ std::int32_t RegressionTree::push_split(std::size_t feature, double threshold,
 
 // Exact-backend fit state. The order's work_ holds the (d+1) presorted
 // segments, and every node owns the same [begin, end) range of each.
+// `leaf_out` (may be null) receives each root row's leaf value.
 struct RegressionTree::ExactContext {
   const Matrix& x;
   ExactOrder& order;
@@ -292,6 +291,7 @@ struct RegressionTree::ExactContext {
   std::span<const double> hess;
   const TreeParams& params;
   Rng& rng;
+  double* leaf_out;
 };
 
 std::int32_t RegressionTree::build_exact(ExactContext& ctx, std::size_t begin,
@@ -306,9 +306,11 @@ std::int32_t RegressionTree::build_exact(ExactContext& ctx, std::size_t begin,
   double g_total = 0.0, h_total = 0.0;
   kernel::ops().pair_sum_indexed(ctx.grad.data(), ctx.hess.data(),
                                  work + begin, m, &g_total, &h_total);
-  if (depth >= params.max_depth || m < 2) {
-    return push_leaf(g_total, h_total, params.lambda, depth);
-  }
+  const auto make_leaf = [&]() {
+    return push_leaf(g_total, h_total, params.lambda, depth, ctx.leaf_out,
+                     work + begin, m);
+  };
+  if (depth >= params.max_depth || m < 2) return make_leaf();
 
   const double parent_obj = leaf_objective(g_total, h_total, params.lambda);
   SplitCandidate best;
@@ -337,9 +339,7 @@ std::int32_t RegressionTree::build_exact(ExactContext& ctx, std::size_t begin,
       }
     }
   });
-  if (best.gain <= params.gamma) {
-    return push_leaf(g_total, h_total, params.lambda, depth);
-  }
+  if (best.gain <= params.gamma) return make_leaf();
 
   std::uint8_t* const left = order.left_.data();
   std::size_t n_left = 0;
@@ -348,9 +348,7 @@ std::int32_t RegressionTree::build_exact(ExactContext& ctx, std::size_t begin,
     left[r] = x(r, best.feature) <= best.threshold ? 1 : 0;
     n_left += left[r];
   }
-  if (n_left == 0 || n_left == m) {
-    return push_leaf(g_total, h_total, params.lambda, depth);
-  }
+  if (n_left == 0 || n_left == m) return make_leaf();
   for (std::size_t seg = 0; seg <= order.d_; ++seg) {
     stable_partition(work + seg * n + begin, m, order.spill_.data(),
                      [left](std::size_t r) { return left[r] != 0; });
@@ -369,13 +367,15 @@ std::int32_t RegressionTree::build_exact(ExactContext& ctx, std::size_t begin,
 // vector each — accumulated and sibling-subtracted through the kernel
 // dispatch layer. offset[f]*kHistBinStride locates feature f's bins. The
 // root rows are partitioned in place per node, and histograms a node is done
-// with go to `spare` for the next one to reuse.
+// with go to `spare` for the next one to reuse. `leaf_out` (may be null)
+// receives each root row's leaf value.
 struct RegressionTree::HistContext {
   const FeatureBinner& binner;
   std::span<const double> grad;
   std::span<const double> hess;
   const TreeParams& params;
   Rng& rng;
+  double* leaf_out;
   std::vector<std::size_t> offset;  // per-feature bin offset; back() = total
   std::vector<std::size_t> rows;
   std::vector<std::size_t> spill;
@@ -398,7 +398,8 @@ std::int32_t RegressionTree::build_hist(HistContext& ctx, std::size_t begin,
 
   const auto make_leaf = [&]() {
     ctx.recycle(hist);
-    return push_leaf(g_total, h_total, params.lambda, depth);
+    return push_leaf(g_total, h_total, params.lambda, depth, ctx.leaf_out,
+                     rows, m);
   };
   if (depth >= params.max_depth || m < 2) return make_leaf();
 
@@ -469,15 +470,14 @@ std::int32_t RegressionTree::build_hist(HistContext& ctx, std::size_t begin,
   return self;
 }
 
-// Accumulates the (G, H, count) histogram of `rows` for every feature,
-// fanning features out over the shared pool when the node is large. Each
-// feature writes a disjoint range and accumulates in row order through the
-// kernel layer, so the result is bit-identical for any pool size AND any
+// Accumulates the (G, H, count) histogram of `rows` for every feature, on
+// the calling thread: a fit runs serially on the lane that owns its job, so
+// concurrency lives in the executor only. Each feature accumulates in row
+// order through the kernel layer, so the result is bit-identical on any
 // backend (per-bin adds are serial in row order; see kernel.h).
 AlignedVector<double> RegressionTree::compute_histogram(
     HistContext& ctx, const std::size_t* rows, std::size_t count) {
   const FeatureBinner& binner = ctx.binner;
-  const std::size_t d = binner.cols();
   AlignedVector<double> hist;
   if (!ctx.spare.empty()) {
     hist = std::move(ctx.spare.back());
@@ -488,16 +488,10 @@ AlignedVector<double> RegressionTree::compute_histogram(
   }
 
   const auto& kops = kernel::ops();
-  const auto accumulate_feature = [&](std::size_t f) {
+  for (std::size_t f = 0; f < binner.cols(); ++f) {
     double* bins = hist.data() + ctx.offset[f] * kernel::kHistBinStride;
     kops.hist_accumulate(bins, binner.bin_column(f), rows, count,
                          ctx.grad.data(), ctx.hess.data());
-  };
-
-  if (count * d >= kParallelWorkCutoff) {
-    ThreadPool::global().parallel_for(d, accumulate_feature);
-  } else {
-    for (std::size_t f = 0; f < d; ++f) accumulate_feature(f);
   }
   return hist;
 }
@@ -519,16 +513,20 @@ void RegressionTree::fit(const Matrix& x, std::span<const double> grad,
 void RegressionTree::fit(const Matrix& x, ExactOrder& order,
                          std::span<const double> grad,
                          std::span<const double> hess,
-                         const TreeParams& params, Rng& rng) {
+                         const TreeParams& params, Rng& rng,
+                         std::span<double> leaf_out) {
   NURD_CHECK(grad.size() == x.rows() && hess.size() == x.rows(),
              "grad/hess length must match row count");
+  NURD_CHECK(leaf_out.empty() || leaf_out.size() == x.rows(),
+             "leaf_out length must match row count");
   NURD_CHECK(order.n_ > 0 && order.d_ == x.cols() &&
                  order.left_.size() == x.rows(),
              "the exact order must be presorted from this matrix");
   nodes_.clear();
   nodes_.reserve(max_nodes(params.max_depth, order.n_));
   std::copy(order.sorted_.begin(), order.sorted_.end(), order.work_.begin());
-  ExactContext ctx{x, order, grad, hess, params, rng};
+  double* const out = leaf_out.empty() ? nullptr : leaf_out.data();
+  ExactContext ctx{x, order, grad, hess, params, rng, out};
   build_exact(ctx, 0, order.n_, 0);
 }
 
@@ -536,16 +534,20 @@ void RegressionTree::fit(const Matrix& x, const FeatureBinner& binner,
                          std::span<const double> grad,
                          std::span<const double> hess,
                          std::span<const std::size_t> rows,
-                         const TreeParams& params, Rng& rng) {
+                         const TreeParams& params, Rng& rng,
+                         std::span<double> leaf_out) {
   NURD_CHECK(grad.size() == x.rows() && hess.size() == x.rows(),
              "grad/hess length must match row count");
+  NURD_CHECK(leaf_out.empty() || leaf_out.size() == x.rows(),
+             "leaf_out length must match row count");
   NURD_CHECK(!rows.empty(), "cannot fit a tree on zero rows");
   NURD_CHECK(binner.rows() == x.rows() && binner.cols() == x.cols(),
              "binner shape must match the feature matrix");
   nodes_.clear();
   nodes_.reserve(max_nodes(params.max_depth, rows.size()));
 
-  HistContext ctx{binner, grad, hess, params, rng, {}, {}, {}, {}};
+  double* const out = leaf_out.empty() ? nullptr : leaf_out.data();
+  HistContext ctx{binner, grad, hess, params, rng, out, {}, {}, {}, {}};
   ctx.offset.resize(binner.cols() + 1, 0);
   for (std::size_t f = 0; f < binner.cols(); ++f) {
     ctx.offset[f + 1] = ctx.offset[f] + binner.bin_count(f);

@@ -13,12 +13,16 @@
 //   * histogram (LightGBM-style) — quantile-bins each feature once per fit,
 //     accumulates per-bin (G, H) sums per node, and scans bin boundaries;
 //     O(d · n) per tree level, with the sibling-subtraction trick (child
-//     histogram = parent − other child) halving construction cost. Per-
-//     feature histogram builds fan out over the shared ThreadPool.
+//     histogram = parent − other child) halving construction cost.
 // Both backends are deterministic: identical inputs and Rng state produce a
-// bit-identical tree regardless of thread count. Nodes partition their rows
-// in place; the exact backend's buffers live in the ExactOrder, and the
-// histogram backend recycles histogram buffers from node to node.
+// bit-identical tree. A fit runs serially on the calling thread — the lane
+// that owns its job; concurrency lives in the executor, never inside a fit.
+// Nodes partition their rows in place; the exact backend's buffers live in
+// the ExactOrder, and the histogram backend recycles histogram buffers from
+// node to node. Because each partition predicate is the predict predicate
+// (exact: x ≤ threshold; histogram: bin ≤ b ⟺ x ≤ edge(b)), a leaf's segment
+// is exactly the root rows predict() routes to it, so a fit can hand back
+// every root row's leaf value without re-walking the tree.
 #pragma once
 
 #include <cstddef>
@@ -168,16 +172,22 @@ class RegressionTree {
 
   /// Exact-backend fit on the root rows of an order presorted once per
   /// boosting call (`order` must have been assigned from `x`). The order's
-  /// scratch is rewritten; its presorted orders are not.
+  /// scratch is rewritten; its presorted orders are not. A non-empty
+  /// `leaf_out` (length x.rows()) receives, for every root row r,
+  /// leaf_out[r] = predict(x.row(r)), bit for bit; other entries are left
+  /// untouched.
   void fit(const Matrix& x, ExactOrder& order, std::span<const double> grad,
-           std::span<const double> hess, const TreeParams& params, Rng& rng);
+           std::span<const double> hess, const TreeParams& params, Rng& rng,
+           std::span<double> leaf_out = {});
 
   /// Histogram-backend fit reusing a binner built once per boosting fit.
-  /// `binner` must cover all rows of `x`.
+  /// `binner` must cover all rows of `x`, binned from their current values.
+  /// `leaf_out` works as in the exact overload, for the `rows` given, as
+  /// long as features are not NaN (a NaN bins to 0 but predicts right).
   void fit(const Matrix& x, const FeatureBinner& binner,
            std::span<const double> grad, std::span<const double> hess,
            std::span<const std::size_t> rows, const TreeParams& params,
-           Rng& rng);
+           Rng& rng, std::span<double> leaf_out = {});
 
   /// Leaf value for a single feature row.
   double predict(std::span<const double> row) const;
@@ -218,7 +228,8 @@ class RegressionTree {
                                                  std::size_t count);
 
   std::int32_t push_leaf(double g_total, double h_total, double lambda,
-                         int depth);
+                         int depth, double* leaf_out, const std::size_t* rows,
+                         std::size_t m);
   std::int32_t push_split(std::size_t feature, double threshold, int depth);
 
   std::vector<Node> nodes_;

@@ -252,9 +252,10 @@ TEST(ThreadPool, ZeroWorkerPoolRunsSerially) {
 
 TEST(ThreadPool, NestedParallelForCompletes) {
   ThreadPool pool(2);
+  ThreadPool inner(2);
   std::atomic<int> total{0};
   pool.parallel_for(4, [&](std::size_t) {
-    ThreadPool::global().parallel_for(8, [&](std::size_t) { ++total; });
+    inner.parallel_for(8, [&](std::size_t) { ++total; });
   });
   EXPECT_EQ(total.load(), 32);
 }

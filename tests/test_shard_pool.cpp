@@ -154,6 +154,49 @@ TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
   }
 }
 
+// Histogram-scale fits on inline shards: jobs of 600-900 tasks take the
+// histogram builder (>= 256 finished rows) from mid-stream on, and NURD's
+// kIncremental refits continue those fits warm. Each shard of a 1-worker
+// fleet runs its fits inline on its own thread; the served records and flag
+// set must still equal the serial batch reference at every shard x worker
+// count.
+TEST(ShardedMonitor, HistogramScaleFitsOnInlineShardsMatchRunMethod) {
+  auto gen_config = trace::GoogleLikeGenerator::google_defaults();
+  gen_config.min_tasks = 600;
+  gen_config.max_tasks = 900;
+  trace::GoogleLikeGenerator gen(gen_config);
+  const auto jobs = gen.generate(4);
+  auto registry = tuned(true);
+  registry.refit = core::RefitPolicy::kIncremental;
+  const auto method = core::predictor_by_name("NURD", registry);
+  const auto reference = eval::run_method(method, jobs, 90.0, 1);
+
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> flags0;
+  bool first = true;
+  for (const std::size_t shards : {1u, 4u}) {
+    for (const std::size_t workers : {1u, 2u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " workers=" + std::to_string(workers));
+      ShardedMonitorConfig config;
+      config.shards = shards;
+      config.threads = workers;
+      RecordingSink sink(jobs.size());
+      config.sink = sink.sink();
+      ShardedMonitor fleet(jobs, method, config);
+      const auto served = fleet.run();
+
+      expect_runs_identical(served.runs, reference);
+      if (first) {
+        flags0 = sink.flag_set();
+        EXPECT_FALSE(flags0.empty());
+        first = false;
+      } else {
+        EXPECT_EQ(sink.flag_set(), flags0);
+      }
+    }
+  }
+}
+
 // Kill-style drain: shard 0 drains mid-stream, its jobs re-place and resume
 // on open shards, and the final records and flag set are bit-identical to
 // the undrained run. The drain time lands inside the event stream so real
