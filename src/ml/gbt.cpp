@@ -283,27 +283,19 @@ void GradientBoosting::boost(const Matrix& x, std::span<const Target> targets,
       if (binner == nullptr) order.assign(x, rows);
     }
 
-    // Without subsampling the tree's root rows are the rows whose scores
-    // this round updates, so the fit writes their leaf values into `pred`
-    // as it creates each leaf — bit-identical to tree.predict(x.row(i)),
-    // with no re-walk. A subsample's tree still predicts every row.
-    const std::span<double> leaf_out =
-        resample ? std::span<double>() : std::span<double>(pred);
     RegressionTree tree;
     if (binner != nullptr) {
-      tree.fit(x, *binner, grad, hess, rows, params_.tree, rng, leaf_out);
+      tree.fit(x, *binner, grad, hess, rows, params_.tree, rng);
     } else {
-      tree.fit(x, order, grad, hess, params_.tree, rng, leaf_out);
+      tree.fit(x, order, grad, hess, params_.tree, rng);
     }
 
     if (active_set) {
       // Only the active rows' scores are read by later rounds; the rest
       // catch up when next read (catch_up).
-      for (const auto i : subset) score[i] += rate * pred[i];
+      for (const auto i : subset) score[i] += rate * tree.predict(x.row(i));
     } else {
-      if (resample) {
-        for (std::size_t i = 0; i < n; ++i) pred[i] = tree.predict(x.row(i));
-      }
+      for (std::size_t i = 0; i < n; ++i) pred[i] = tree.predict(x.row(i));
       kops.axpy(rate, pred.data(), score.data(), n);
     }
     trees_.push_back(std::move(tree));

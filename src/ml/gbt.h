@@ -84,10 +84,9 @@ class GradientBoosting {
   ///
   /// Cost: O(n) to carry the caches plus, per round, O(|active|·d) split
   /// finding (the exact builder presorts the active set once per call) and
-  /// O(|active|) score updates (each tree hands back its leaf values). Rows
-  /// outside the active set do not pay per round: their cached score records
-  /// how many trees it includes and replays the rest, bit-identically, when
-  /// a later call reads it.
+  /// O(|active|·depth) score updates. Rows outside the active set do not
+  /// pay per round: their cached score records how many trees it includes
+  /// and replays the rest, bit-identically, when a later call reads it.
   ///
   /// Continuation rounds run at warm_rate_factor × learning_rate (capped at
   /// 0.5): the rows a continuation must absorb are exactly the
@@ -147,9 +146,7 @@ class GradientBoosting {
   /// with a non-empty (sorted) `subset` the rounds are active-set
   /// continuations: gradients, tree fits and score updates cover the subset
   /// only. Exact-backend trees share one ExactOrder presorted per call (per
-  /// round only when subsampling). Score updates read each tree's leaf
-  /// values for its root rows straight from the fit; only a subsampled
-  /// round re-walks the tree for every row.
+  /// round only when subsampling).
   void boost(const Matrix& x, std::span<const Target> targets, int rounds,
              double rate, std::vector<double>& score,
              const FeatureBinner* binner, Rng& rng,

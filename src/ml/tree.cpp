@@ -253,20 +253,12 @@ void ExactOrder::assign(const Matrix& x, std::span<const std::size_t> rows) {
   }
 }
 
-// The leaf's value also goes to every row of its segment (rows[0, m)) in the
-// caller's per-row buffer, when there is one.
 std::int32_t RegressionTree::push_leaf(double g_total, double h_total,
-                                       double lambda, int depth,
-                                       double* leaf_out,
-                                       const std::size_t* rows,
-                                       std::size_t m) {
+                                       double lambda, int depth) {
   Node leaf;
   leaf.value = -g_total / (h_total + lambda);
   leaf.depth = depth;
   nodes_.push_back(leaf);
-  if (leaf_out != nullptr) {
-    for (std::size_t i = 0; i < m; ++i) leaf_out[rows[i]] = leaf.value;
-  }
   return static_cast<std::int32_t>(nodes_.size() - 1);
 }
 
@@ -283,7 +275,6 @@ std::int32_t RegressionTree::push_split(std::size_t feature, double threshold,
 
 // Exact-backend fit state. The order's work_ holds the (d+1) presorted
 // segments, and every node owns the same [begin, end) range of each.
-// `leaf_out` (may be null) receives each root row's leaf value.
 struct RegressionTree::ExactContext {
   const Matrix& x;
   ExactOrder& order;
@@ -291,7 +282,6 @@ struct RegressionTree::ExactContext {
   std::span<const double> hess;
   const TreeParams& params;
   Rng& rng;
-  double* leaf_out;
 };
 
 std::int32_t RegressionTree::build_exact(ExactContext& ctx, std::size_t begin,
@@ -306,11 +296,9 @@ std::int32_t RegressionTree::build_exact(ExactContext& ctx, std::size_t begin,
   double g_total = 0.0, h_total = 0.0;
   kernel::ops().pair_sum_indexed(ctx.grad.data(), ctx.hess.data(),
                                  work + begin, m, &g_total, &h_total);
-  const auto make_leaf = [&]() {
-    return push_leaf(g_total, h_total, params.lambda, depth, ctx.leaf_out,
-                     work + begin, m);
-  };
-  if (depth >= params.max_depth || m < 2) return make_leaf();
+  if (depth >= params.max_depth || m < 2) {
+    return push_leaf(g_total, h_total, params.lambda, depth);
+  }
 
   const double parent_obj = leaf_objective(g_total, h_total, params.lambda);
   SplitCandidate best;
@@ -339,7 +327,9 @@ std::int32_t RegressionTree::build_exact(ExactContext& ctx, std::size_t begin,
       }
     }
   });
-  if (best.gain <= params.gamma) return make_leaf();
+  if (best.gain <= params.gamma) {
+    return push_leaf(g_total, h_total, params.lambda, depth);
+  }
 
   std::uint8_t* const left = order.left_.data();
   std::size_t n_left = 0;
@@ -348,7 +338,9 @@ std::int32_t RegressionTree::build_exact(ExactContext& ctx, std::size_t begin,
     left[r] = x(r, best.feature) <= best.threshold ? 1 : 0;
     n_left += left[r];
   }
-  if (n_left == 0 || n_left == m) return make_leaf();
+  if (n_left == 0 || n_left == m) {
+    return push_leaf(g_total, h_total, params.lambda, depth);
+  }
   for (std::size_t seg = 0; seg <= order.d_; ++seg) {
     stable_partition(work + seg * n + begin, m, order.spill_.data(),
                      [left](std::size_t r) { return left[r] != 0; });
@@ -367,15 +359,13 @@ std::int32_t RegressionTree::build_exact(ExactContext& ctx, std::size_t begin,
 // vector each — accumulated and sibling-subtracted through the kernel
 // dispatch layer. offset[f]*kHistBinStride locates feature f's bins. The
 // root rows are partitioned in place per node, and histograms a node is done
-// with go to `spare` for the next one to reuse. `leaf_out` (may be null)
-// receives each root row's leaf value.
+// with go to `spare` for the next one to reuse.
 struct RegressionTree::HistContext {
   const FeatureBinner& binner;
   std::span<const double> grad;
   std::span<const double> hess;
   const TreeParams& params;
   Rng& rng;
-  double* leaf_out;
   std::vector<std::size_t> offset;  // per-feature bin offset; back() = total
   std::vector<std::size_t> rows;
   std::vector<std::size_t> spill;
@@ -398,8 +388,7 @@ std::int32_t RegressionTree::build_hist(HistContext& ctx, std::size_t begin,
 
   const auto make_leaf = [&]() {
     ctx.recycle(hist);
-    return push_leaf(g_total, h_total, params.lambda, depth, ctx.leaf_out,
-                     rows, m);
+    return push_leaf(g_total, h_total, params.lambda, depth);
   };
   if (depth >= params.max_depth || m < 2) return make_leaf();
 
@@ -513,20 +502,16 @@ void RegressionTree::fit(const Matrix& x, std::span<const double> grad,
 void RegressionTree::fit(const Matrix& x, ExactOrder& order,
                          std::span<const double> grad,
                          std::span<const double> hess,
-                         const TreeParams& params, Rng& rng,
-                         std::span<double> leaf_out) {
+                         const TreeParams& params, Rng& rng) {
   NURD_CHECK(grad.size() == x.rows() && hess.size() == x.rows(),
              "grad/hess length must match row count");
-  NURD_CHECK(leaf_out.empty() || leaf_out.size() == x.rows(),
-             "leaf_out length must match row count");
   NURD_CHECK(order.n_ > 0 && order.d_ == x.cols() &&
                  order.left_.size() == x.rows(),
              "the exact order must be presorted from this matrix");
   nodes_.clear();
   nodes_.reserve(max_nodes(params.max_depth, order.n_));
   std::copy(order.sorted_.begin(), order.sorted_.end(), order.work_.begin());
-  double* const out = leaf_out.empty() ? nullptr : leaf_out.data();
-  ExactContext ctx{x, order, grad, hess, params, rng, out};
+  ExactContext ctx{x, order, grad, hess, params, rng};
   build_exact(ctx, 0, order.n_, 0);
 }
 
@@ -534,20 +519,16 @@ void RegressionTree::fit(const Matrix& x, const FeatureBinner& binner,
                          std::span<const double> grad,
                          std::span<const double> hess,
                          std::span<const std::size_t> rows,
-                         const TreeParams& params, Rng& rng,
-                         std::span<double> leaf_out) {
+                         const TreeParams& params, Rng& rng) {
   NURD_CHECK(grad.size() == x.rows() && hess.size() == x.rows(),
              "grad/hess length must match row count");
-  NURD_CHECK(leaf_out.empty() || leaf_out.size() == x.rows(),
-             "leaf_out length must match row count");
   NURD_CHECK(!rows.empty(), "cannot fit a tree on zero rows");
   NURD_CHECK(binner.rows() == x.rows() && binner.cols() == x.cols(),
              "binner shape must match the feature matrix");
   nodes_.clear();
   nodes_.reserve(max_nodes(params.max_depth, rows.size()));
 
-  double* const out = leaf_out.empty() ? nullptr : leaf_out.data();
-  HistContext ctx{binner, grad, hess, params, rng, out, {}, {}, {}, {}};
+  HistContext ctx{binner, grad, hess, params, rng, {}, {}, {}, {}};
   ctx.offset.resize(binner.cols() + 1, 0);
   for (std::size_t f = 0; f < binner.cols(); ++f) {
     ctx.offset[f + 1] = ctx.offset[f] + binner.bin_count(f);

@@ -19,10 +19,7 @@
 // that owns its job; concurrency lives in the executor, never inside a fit.
 // Nodes partition their rows in place; the exact backend's buffers live in
 // the ExactOrder, and the histogram backend recycles histogram buffers from
-// node to node. Because each partition predicate is the predict predicate
-// (exact: x ≤ threshold; histogram: bin ≤ b ⟺ x ≤ edge(b)), a leaf's segment
-// is exactly the root rows predict() routes to it, so a fit can hand back
-// every root row's leaf value without re-walking the tree.
+// node to node.
 #pragma once
 
 #include <cstddef>
@@ -172,22 +169,16 @@ class RegressionTree {
 
   /// Exact-backend fit on the root rows of an order presorted once per
   /// boosting call (`order` must have been assigned from `x`). The order's
-  /// scratch is rewritten; its presorted orders are not. A non-empty
-  /// `leaf_out` (length x.rows()) receives, for every root row r,
-  /// leaf_out[r] = predict(x.row(r)), bit for bit; other entries are left
-  /// untouched.
+  /// scratch is rewritten; its presorted orders are not.
   void fit(const Matrix& x, ExactOrder& order, std::span<const double> grad,
-           std::span<const double> hess, const TreeParams& params, Rng& rng,
-           std::span<double> leaf_out = {});
+           std::span<const double> hess, const TreeParams& params, Rng& rng);
 
   /// Histogram-backend fit reusing a binner built once per boosting fit.
-  /// `binner` must cover all rows of `x`, binned from their current values.
-  /// `leaf_out` works as in the exact overload, for the `rows` given, as
-  /// long as features are not NaN (a NaN bins to 0 but predicts right).
+  /// `binner` must cover all rows of `x`.
   void fit(const Matrix& x, const FeatureBinner& binner,
            std::span<const double> grad, std::span<const double> hess,
            std::span<const std::size_t> rows, const TreeParams& params,
-           Rng& rng, std::span<double> leaf_out = {});
+           Rng& rng);
 
   /// Leaf value for a single feature row.
   double predict(std::span<const double> row) const;
@@ -228,8 +219,7 @@ class RegressionTree {
                                                  std::size_t count);
 
   std::int32_t push_leaf(double g_total, double h_total, double lambda,
-                         int depth, double* leaf_out, const std::size_t* rows,
-                         std::size_t m);
+                         int depth);
   std::int32_t push_split(std::size_t feature, double threshold, int depth);
 
   std::vector<Node> nodes_;

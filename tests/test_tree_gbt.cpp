@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <optional>
 
 #include "common/rng.h"
 #include "kernel/kernel.h"
@@ -555,217 +554,6 @@ TEST(ExactBuilderParity, ActiveSetContinuationMatchesPerNodeResort) {
     EXPECT_EQ(model.predict(stage2.x.row(i)), ref.predict(stage2.x.row(i)))
         << i;
   }
-}
-
-// ---- Leaf-indexed score updates --------------------------------------------
-// Each fit hands back its root rows' leaf values (the rows a leaf's
-// partitioned segment holds), and GradientBoosting::boost updates scores from
-// them instead of re-walking every tree. PredictBooster is the loop it
-// replaced: the same rounds, trees and Rng stream, but scores updated with a
-// per-row tree.predict. Without subsampling the two must grow identical trees,
-// so every training row's prediction matches bit for bit.
-
-// Smooth targets over continuous features, so the histogram backend bins
-// into many distinct edges.
-TieData smooth(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  TieData d{Matrix(n, 4), std::vector<double>(n)};
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t f = 0; f < 4; ++f) d.x(i, f) = rng.uniform(-1.0, 1.0);
-    d.y[i] = std::sin(3.0 * d.x(i, 0)) + d.x(i, 1) * d.x(i, 2) +
-             rng.normal(0.0, 0.2);
-  }
-  return d;
-}
-
-struct PredictBooster {
-  GbtParams params;
-  SquaredLoss loss;
-  double base = 0.0;
-  std::vector<RegressionTree> trees;
-  std::vector<double> rates;
-  Rng rng{0};
-  std::optional<FeatureBinner> binner;
-
-  double predict(std::span<const double> row) const {
-    double s = base;
-    for (std::size_t k = 0; k < trees.size(); ++k) {
-      s += rates[k] * trees[k].predict(row);
-    }
-    return s;
-  }
-
-  // One boost() call on the root rows `root`; an active set computes its
-  // gradients per row, a full fit through the batched path, as boost() does.
-  void boost(const Matrix& x, const std::vector<Target>& targets,
-             const std::vector<std::size_t>& root, bool active, int rounds,
-             double rate, std::vector<double>& score) {
-    const std::size_t n = x.rows();
-    std::vector<double> grad(n), hess(n);
-    ExactOrder order;
-    if (!binner) order.assign(x, root);
-    for (int round = 0; round < rounds; ++round) {
-      if (active) {
-        for (const auto i : root) {
-          const auto gh = loss.grad_hess(targets[i], score[i]);
-          grad[i] = gh.grad;
-          hess[i] = gh.hess;
-        }
-      } else {
-        loss.grad_hess_batch(targets, score, grad, hess);
-      }
-      RegressionTree tree;
-      if (binner) {
-        tree.fit(x, *binner, grad, hess, root, params.tree, rng);
-      } else {
-        tree.fit(x, order, grad, hess, params.tree, rng);
-      }
-      for (const auto i : root) score[i] += rate * tree.predict(x.row(i));
-      trees.push_back(std::move(tree));
-      rates.push_back(rate);
-    }
-  }
-
-  void fit(const TieData& d) {
-    const std::size_t n = d.x.rows();
-    const auto targets = targets_of(d.y);
-    base = loss.init_score(targets);
-    rng = Rng(params.seed);
-    std::vector<std::size_t> all(n);
-    std::iota(all.begin(), all.end(), std::size_t{0});
-    if (histogram_enabled(params.tree, n)) {
-      binner.emplace(d.x, all, params.tree.max_bins);
-    }
-    std::vector<double> score(n, base);
-    boost(d.x, targets, all, false, params.n_rounds, params.learning_rate,
-          score);
-  }
-
-  // continue_fit with `inserted` rows spliced in: the documented active set
-  // (inserted rows plus three anchors each), scores caught up by predict.
-  void continue_fit(const TieData& d, const std::vector<std::size_t>& inserted,
-                    int rounds) {
-    const std::size_t n = d.x.rows();
-    if (binner) binner->insert_rows(d.x, inserted);
-    std::vector<std::size_t> active = inserted;
-    const auto anchors = rng.sample_without_replacement(
-        n, std::min(n - inserted.size(), 3 * inserted.size()));
-    active.insert(active.end(), anchors.begin(), anchors.end());
-    std::sort(active.begin(), active.end());
-    active.erase(std::unique(active.begin(), active.end()), active.end());
-    std::vector<double> score(n);
-    for (const auto i : active) score[i] = predict(d.x.row(i));
-    boost(d.x, targets_of(d.y), active, true, rounds,
-          std::min(0.5, params.warm_rate_factor * params.learning_rate),
-          score);
-  }
-};
-
-GbtParams leaf_update_params(SplitMethod split) {
-  GbtParams params;
-  params.n_rounds = 25;
-  params.learning_rate = 0.3;
-  params.warm_start = true;
-  params.tree.max_depth = 4;
-  params.tree.split = split;
-  params.tree.max_bins = 16;
-  return params;
-}
-
-TEST(LeafIndexedUpdate, FitHandsBackPredictForEveryRootRow) {
-  const auto d = smooth(300, 11);
-  Rng draw(2);
-  std::vector<double> grad(300), hess(300);
-  for (std::size_t i = 0; i < 300; ++i) {
-    grad[i] = -d.y[i];
-    hess[i] = 0.5 + draw.uniform();
-  }
-  auto perm = draw.permutation(300);
-  const std::vector<std::size_t> rows(perm.begin(), perm.begin() + 200);
-  std::vector<std::size_t> all(300);
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  const FeatureBinner binner(d.x, all, 16);
-  ExactOrder order(d.x, rows);
-  for (const bool hist : {false, true}) {
-    SCOPED_TRACE(hist ? "histogram" : "exact");
-    TreeParams params;
-    params.max_depth = 5;
-    const double sentinel = -12345.0;
-    std::vector<double> out(300, sentinel);
-    RegressionTree tree;
-    Rng rng(1);
-    if (hist) {
-      tree.fit(d.x, binner, grad, hess, rows, params, rng, out);
-    } else {
-      tree.fit(d.x, order, grad, hess, params, rng, out);
-    }
-    ASSERT_GT(tree.leaf_count(), 8u);
-    std::vector<bool> root(300, false);
-    for (const auto r : rows) root[r] = true;
-    for (std::size_t i = 0; i < 300; ++i) {
-      EXPECT_EQ(out[i], root[i] ? tree.predict(d.x.row(i)) : sentinel) << i;
-    }
-  }
-}
-
-// Full fit, then an active-set continuation whose inserted rows lie outside
-// the training range (beyond the histogram backend's frozen edges, so their
-// bins clamp into the boundary bins), then a second one that reads
-// caught-up scores.
-void expect_leaf_update_parity(SplitMethod split) {
-  const auto full = smooth(420, 21);
-  const auto stage = [&](std::size_t k, std::vector<std::size_t>* ins) {
-    TieData d{Matrix(0, 4), {}};
-    for (std::size_t i = 0; i < 420; ++i) {
-      const std::size_t arrives = i % 7 == 3 ? 1 : i % 7 == 5 ? 2 : 0;
-      if (arrives > k) continue;
-      std::vector<double> row(full.x.row(i).begin(), full.x.row(i).end());
-      if (arrives > 0) {
-        row[0] *= 2.5;  // |x0| up to 2.5 against a training range of ±1
-        row[1] = i % 2 == 0 ? 3.0 : -3.0;
-      }
-      if (arrives == k && k > 0) ins->push_back(d.y.size());
-      d.x.push_row(row);
-      d.y.push_back(full.y[i] + (arrives > 0 ? 2.0 : 0.0));
-    }
-    return d;
-  };
-  std::vector<std::size_t> none, ins1, ins2;
-  const auto stage0 = stage(0, &none);
-  const auto stage1 = stage(1, &ins1);
-  const auto stage2 = stage(2, &ins2);
-
-  const auto params = leaf_update_params(split);
-  auto model = GradientBoosting::regressor(params);
-  PredictBooster ref;
-  ref.params = params;
-
-  model.fit(stage0.x, stage0.y);
-  ref.fit(stage0);
-  ASSERT_EQ(ref.binner.has_value(), split == SplitMethod::kHistogram);
-  ASSERT_EQ(model.tree_count(), ref.trees.size());
-  for (std::size_t i = 0; i < stage0.y.size(); ++i) {
-    ASSERT_EQ(model.predict(stage0.x.row(i)), ref.predict(stage0.x.row(i)))
-        << "full fit, row " << i;
-  }
-
-  model.continue_fit(stage1.x, stage1.y, 10, {}, ins1);
-  ref.continue_fit(stage1, ins1, 10);
-  model.continue_fit(stage2.x, stage2.y, 10, {}, ins2);
-  ref.continue_fit(stage2, ins2, 10);
-  ASSERT_EQ(model.tree_count(), ref.trees.size());
-  for (std::size_t i = 0; i < stage2.y.size(); ++i) {
-    ASSERT_EQ(model.predict(stage2.x.row(i)), ref.predict(stage2.x.row(i)))
-        << "continuation, row " << i;
-  }
-}
-
-TEST(LeafIndexedUpdate, ExactBoostMatchesPerRowPredict) {
-  expect_leaf_update_parity(SplitMethod::kExact);
-}
-
-TEST(LeafIndexedUpdate, HistogramBoostMatchesPerRowPredict) {
-  expect_leaf_update_parity(SplitMethod::kHistogram);
 }
 
 }  // namespace
