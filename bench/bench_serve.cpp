@@ -1,6 +1,6 @@
 // Serving-layer bench: sustained checkpoints/sec, per-checkpoint decision
 // latency (p50/p99, admission -> flags emitted), backlog depth, and the
-// stage-level time breakdown while a sharded StreamMonitor fleet multiplexes
+// stage-level time breakdown while a ShardedMonitor fleet multiplexes
 // concurrent jobs over per-shard pools.
 //
 //   ./bench_serve                         # NURD, both tuned configs, 1/4/16

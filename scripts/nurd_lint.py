@@ -29,9 +29,9 @@ bug patterns; these rules are NURD-specific):
                  store) and `.latencies()` (ground-truth latencies, running
                  tasks included — the oracle the discipline exists to deny).
                  The documented privileged sites (the cluster simulator,
-                 which plays reality; transfer learning's source jobs; the
-                 FitSession featurization layer) are allowlisted with
-                 justifications in scripts/nurd_lint_allowlist.txt.
+                 which plays reality; the FitSession featurization layer)
+                 are allowlisted with justifications in
+                 scripts/nurd_lint_allowlist.txt.
 
   lock-table     src/common/sync.h's lock-ordering table is the authoritative
                  inventory of every `Mutex` under src/: each declaration must

@@ -52,7 +52,7 @@
 //       channel; only ever held around error recording and the completion
 //       notify/wait.
 //   [mutex] serve/shard_engine.cpp::mutex_
-//       serve::ShardEngine (Impl) — the execution core one StreamMonitor
+//       serve::ShardEngine (Impl) — the execution core one ShardedMonitor
 //       shard runs on. Leaf. Guards the lanes, the per-worker lane deques
 //       and the in-flight accounting; stages always run with it released.
 //       The FlagSink is deliberately invoked from the Flag stage BEFORE the
@@ -61,10 +61,11 @@
 //       hooks likewise run unlocked.
 //   [mutex] serve/cluster_sink.h::mutex_
 //       serve::LiveClusterFeed. The ONE nested acquisition in the codebase:
-//       sink()/finish() hold it while calling
-//       StreamMonitor::low_watermark(), i.e. LiveClusterFeed::mutex_ →
-//       ShardEngine::mutex_ in that order, never the reverse (no engine
-//       holds its mutex while invoking the sink).
+//       the sink holds it while calling ShardedMonitor::low_watermark(),
+//       which takes each shard engine's mutex in turn and never two at
+//       once, i.e. LiveClusterFeed::mutex_ → ShardEngine::mutex_ in that
+//       order, never the reverse (no engine holds its mutex while invoking
+//       the sink). low_watermark() takes no ShardedMonitor::mutex_.
 //   [mutex] serve/shard_pool.cpp::mutex_
 //       serve::ShardedMonitor (Impl). Leaf. Guards the cross-shard handoff
 //       ledger (retired_through_) and first-error capture. Taken only from
@@ -161,33 +162,18 @@ class NURD_CAPABILITY("mutex") Mutex {
   std::mutex m_;
 };
 
-/// Scoped lock (std::lock_guard/std::unique_lock replacement) with
-/// scoped-capability annotations. Supports early unlock() and re-lock() for
-/// pump-loop patterns (hold between tasks, release around the task body).
+/// Scoped lock (std::lock_guard replacement) with scoped-capability
+/// annotations: held from construction to the end of the scope.
 class NURD_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) NURD_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  ~MutexLock() NURD_RELEASE() {
-    if (held_) mu_.unlock();
-  }
+  ~MutexLock() NURD_RELEASE() { mu_.unlock(); }
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  /// Releases early (the destructor then does nothing).
-  void unlock() NURD_RELEASE() {
-    held_ = false;
-    mu_.unlock();
-  }
-  /// Re-acquires after an early unlock().
-  void lock() NURD_ACQUIRE() {
-    mu_.lock();
-    held_ = true;
-  }
-
  private:
   Mutex& mu_;
-  bool held_ = true;
 };
 
 /// std::condition_variable bound to Mutex. wait() takes the Mutex itself

@@ -16,7 +16,7 @@
 //     refit whole — the 13 outlier detectors, XGBOD, Tobit, CoxPH,
 //     Wrangler, PU-EN, PU-BG — produce bit-identical decisions to kFull;
 //     only the bookkeeping differs. The warm-started learners (NURD,
-//     NURD-NC, NURD-TL, GBTR, Grabit) may diverge within tolerance during
+//     NURD-NC, GBTR, Grabit) may diverge within tolerance during
 //     continuation windows. bench_refit --check enforces both the
 //     per-checkpoint cost win (≥3x at late checkpoints) and the end-metric
 //     drift bound (macro-F1 within 0.01) on both tuned configs.

@@ -1,5 +1,4 @@
-// The per-shard serving engine: the execution core StreamMonitor (one shard,
-// the whole fleet) and ShardedMonitor (N shards) share.
+// The per-shard serving engine: ShardedMonitor runs one per shard.
 //
 // A ShardEngine owns NO policy. It is handed a finished plan — the job
 // sessions to drive, the admission-ordered event list (each event optionally
@@ -7,19 +6,19 @@
 // bounded in-flight window into per-job serial lanes, runs each checkpoint's
 // four pipeline stages back to back (on its private ThreadPool, or inline on
 // the calling thread at threads == 1), emits flags through the hook sink,
-// and reports wall-clock stats. Everything that DECIDES — arrival
-// draws, placement, tenant quotas, shed selection, drain boundaries — lives
-// in the frontends, computed in simulated time before execution starts, so
-// engine scheduling can never feed back into the decision plane. That
+// and reports wall-clock stats. Everything that DECIDES — arrival draws,
+// placement, tenant quotas, shed selection, drain boundaries — lives in the
+// fleet's plan plane, computed in simulated time before execution starts,
+// so engine scheduling can never feed back into the decision plane. That
 // one-way split is what makes the serving layer's determinism contract
 // (flag-set identity at any shard count x thread count) hold by
 // construction rather than by testing alone.
 //
-// Sessions are owned by the caller and handed in by span: in the sharded
-// fleet a job's session outlives the engine that started it — a drained
-// shard's jobs migrate, sessions intact, to another engine, which resumes
-// the per-checkpoint protocol exactly where the source stopped (the
-// wait_boundary handshake below orders the two engines).
+// Sessions are owned by the caller and handed in by span: a job's session
+// outlives the engine that started it — a drained shard's jobs migrate,
+// sessions intact, to another engine, which resumes the per-checkpoint
+// protocol exactly where the source stopped (the wait_boundary handshake
+// below orders the two engines).
 #pragma once
 
 #include <array>
@@ -43,9 +42,11 @@ struct FlagDecision {
   std::size_t job = 0;         ///< job input index
   std::size_t task = 0;        ///< task id within the job
   std::size_t checkpoint = 0;  ///< checkpoint the predictor flagged at
-  double time = 0.0;           ///< simulated event time: arrival + τrun(cp)
-  std::size_t shard = 0;       ///< serving shard (0 outside ShardedMonitor)
-  std::size_t tenant = 0;      ///< tenant id (0 outside ShardedMonitor)
+  /// Simulated admission time of the checkpoint event: arrival + τrun(cp),
+  /// or later when an admission quota deferred the event.
+  double time = 0.0;
+  std::size_t shard = 0;   ///< serving shard
+  std::size_t tenant = 0;  ///< tenant id
 };
 
 /// Flag sink. Invoked from pool workers (inside the Flag stage) while run()
@@ -125,7 +126,7 @@ struct EngineHooks {
 };
 
 /// Wall-clock execution stats of one engine run. Latencies stay raw (and
-/// job-attributed) so frontends can aggregate per-fleet and per-tenant.
+/// job-attributed) so the fleet can aggregate per-shard and per-tenant.
 struct EngineStats {
   std::size_t processed = 0;  ///< checkpoint events completed
   std::size_t flags = 0;      ///< decisions emitted

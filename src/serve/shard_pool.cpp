@@ -67,7 +67,9 @@ struct ShardedMonitor::Impl {
   // Everything here runs in simulated time at construction, single-threaded:
   // the plan is a pure function of (jobs, arrival process, seeds, config).
   void build_plan() {
-    // 1. Arrival draw — same protocol as StreamMonitor: one draw, own seed.
+    // 1. Arrival draw: one draw, own seed — the ingestion schedule is a
+    // function of (jobs, arrival process, seed) only, never of serving
+    // dynamics.
     Rng rng(config_.arrival_seed);
     plan_.arrivals = config_.arrivals
                          ? config_.arrivals(jobs_.size(), rng)
@@ -233,6 +235,22 @@ struct ShardedMonitor::Impl {
     cv_.notify_all();
   }
 
+  // Before the engines exist the watermark is the first planned admission;
+  // afterwards each engine owns its moving value. engines_ is filled before
+  // any driver thread starts and never resized after, so sinks may read it
+  // from any lane mid-run.
+  double low_watermark() const {
+    if (engines_.empty()) {
+      return plan_.events.empty() ? std::numeric_limits<double>::infinity()
+                                  : plan_.events.front().admission;
+    }
+    double mark = std::numeric_limits<double>::infinity();
+    for (const auto& engine : engines_) {
+      mark = std::min(mark, engine->low_watermark());
+    }
+    return mark;
+  }
+
   FleetResult run() NURD_EXCLUDES(mutex_) {
     NURD_CHECK(!ran_, "ShardedMonitor::run() called twice");
     ran_ = true;
@@ -288,8 +306,7 @@ struct ShardedMonitor::Impl {
     engine_config.threads = workers;
     engine_config.max_inflight = config_.max_inflight;
 
-    std::vector<std::unique_ptr<ShardEngine>> engines;
-    engines.reserve(config_.shards);
+    engines_.reserve(config_.shards);
     for (std::size_t s = 0; s < config_.shards; ++s) {
       EngineHooks hooks;
       if (config_.sink) {
@@ -306,7 +323,7 @@ struct ShardedMonitor::Impl {
       hooks.retired = [this](std::size_t job, std::size_t ckpt) {
         note_retired(job, ckpt);
       };
-      engines.push_back(std::make_unique<ShardEngine>(
+      engines_.push_back(std::make_unique<ShardEngine>(
           jobs_, std::span<JobSession>(sessions_), std::move(slices[s]),
           engine_config, std::move(hooks)));
     }
@@ -318,9 +335,9 @@ struct ShardedMonitor::Impl {
     std::vector<std::thread> drivers;
     drivers.reserve(config_.shards);
     for (std::size_t s = 0; s < config_.shards; ++s) {
-      drivers.emplace_back([this, &engines, s] {
+      drivers.emplace_back([this, s] {
         try {
-          engines[s]->run();
+          engines_[s]->run();
         } catch (...) {
           MutexLock lock(mutex_);
           if (!error_) error_ = std::current_exception();
@@ -339,12 +356,10 @@ struct ShardedMonitor::Impl {
                                       start)
             .count();
 
-    return assemble(engines, workers, wall);
+    return assemble(workers, wall);
   }
 
-  FleetResult assemble(
-      const std::vector<std::unique_ptr<ShardEngine>>& engines,
-      std::size_t workers, double wall) {
+  FleetResult assemble(std::size_t workers, double wall) {
     FleetResult result;
     result.runs.reserve(jobs_.size());
     for (auto& session : sessions_) {
@@ -364,7 +379,7 @@ struct ShardedMonitor::Impl {
     std::vector<std::vector<double>> tenant_latencies(
         config_.tenants.size());
     for (std::size_t s = 0; s < config_.shards; ++s) {
-      const EngineStats& es = engines[s]->stats();
+      const EngineStats& es = engines_[s]->stats();
       ShardStats stats;
       stats.shard = s;
       stats.jobs = static_cast<std::size_t>(
@@ -455,6 +470,8 @@ struct ShardedMonitor::Impl {
   ShardedMonitorConfig config_;
   ShardPlan plan_;
   std::vector<JobSession> sessions_;
+  /// One engine per shard, built by run() before its driver threads start.
+  std::vector<std::unique_ptr<ShardEngine>> engines_;
   /// 1 where the job appears in some handoff (only those need cv wakeups).
   std::vector<std::uint8_t> handoff_job_;
   bool ran_ = false;
@@ -494,6 +511,10 @@ std::span<const double> ShardedMonitor::arrivals() const {
 void ShardedMonitor::set_sink(FlagSink sink) {
   NURD_CHECK(!impl_->ran_, "set_sink after run()");
   impl_->config_.sink = std::move(sink);
+}
+
+double ShardedMonitor::low_watermark() const {
+  return impl_->low_watermark();
 }
 
 FleetResult ShardedMonitor::run() { return impl_->run(); }

@@ -1,7 +1,10 @@
-// The sharded multi-tenant serving fleet: N StreamMonitor-class shards —
-// each a ShardEngine with its own ThreadPool running per-job lanes — behind
-// a job-placement policy, per-tenant admission quotas, QoS-tiered
-// load-shedding, and graceful shard drain/rebalance.
+// The serving frontend: many jobs' checkpoint streams served as per-job
+// lanes over N shards — each a ShardEngine with its own workers — behind a
+// job-placement policy, per-tenant admission quotas, QoS-tiered
+// load-shedding, and graceful shard drain/rebalance. One shard with one
+// worker is the serialized bit-parity reference; every flag decision goes to
+// a caller-provided FlagSink the moment the predictor emits it
+// (serve::LiveClusterFeed forwards them into a live cluster simulation).
 //
 // Two planes, strictly one-way:
 //
@@ -42,11 +45,16 @@
 //     shards and drained shards never reopen, so handoff waits cannot form
 //     a cycle.
 //
-// Lock ordering (see common/sync.h): ShardedMonitor::mutex_ is taken by
-// engine callbacks (retired / wait_handoff) that hold no engine lock, and
-// never calls into engines while held — it nests with nothing.
+// Thread-safety: a ShardedMonitor is driven by one caller thread
+// (construct, run(), collect). The FlagSink is the one callback that crosses
+// lanes: calls for a single job arrive in checkpoint order, calls for
+// different jobs (and shards) arrive concurrently — the sink synchronizes
+// internally. Lock ordering (see common/sync.h): ShardedMonitor::mutex_ is
+// taken by engine callbacks (retired / wait_handoff) that hold no engine
+// lock, and never calls into engines while held — it nests with nothing.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -57,7 +65,7 @@
 #include "core/registry.h"
 #include "sched/cluster.h"
 #include "serve/placement.h"
-#include "serve/stream_monitor.h"
+#include "serve/shard_engine.h"  // FlagDecision, FlagSink, kStageCount
 #include "trace/job.h"
 
 namespace nurd::serve {
@@ -165,6 +173,26 @@ struct ShardPlan {
   std::size_t deferred_events = 0;
 };
 
+/// Fleet-wide wall-clock serving statistics for one run().
+struct ServeStats {
+  std::size_t jobs = 0;
+  std::size_t checkpoints = 0;   ///< events processed
+  std::size_t flags = 0;         ///< decisions emitted
+  std::size_t lanes = 0;         ///< stage workers used (shards × threads)
+  std::size_t peak_backlog = 0;  ///< sum of the per-shard in-flight peaks
+  double wall_seconds = 0.0;
+  double checkpoints_per_sec = 0.0;
+  /// Decision latency: admission of a checkpoint event to its checkpoint
+  /// retiring (queue wait + all four stages, flags emitted), per event.
+  double p50_latency_ms = 0.0;
+  double p99_latency_ms = 0.0;
+  /// Cumulative busy time per pipeline stage (featurize, refit, predict,
+  /// flag — indexed by Stage), summed across workers. Together with
+  /// wall_seconds this is the stage share of the run: with S workers,
+  /// sum(stage_seconds) / (S * wall_seconds) is worker utilization.
+  std::array<double, kStageCount> stage_seconds{};
+};
+
 /// Per-shard wall-clock stats of one fleet run.
 struct ShardStats {
   std::size_t shard = 0;
@@ -203,9 +231,7 @@ struct FleetResult {
   /// Per-job records in job input order — with shedding off, bit-identical
   /// to eval::run_method at any shard × thread count.
   std::vector<eval::JobRunResult> runs;
-  /// Fleet-wide totals (peak_backlog sums the per-shard peaks; lanes is
-  /// shards × threads).
-  ServeStats totals;
+  ServeStats totals;  ///< fleet-wide
   std::vector<ShardStats> shards;
   std::vector<TenantStats> tenants;
   std::size_t handoffs = 0;  ///< drain migrations executed
@@ -233,8 +259,18 @@ class ShardedMonitor {
   /// Arrival offsets as drawn (== plan().arrivals).
   std::span<const double> arrivals() const;
 
-  /// Installs (or replaces) the flag sink before run().
+  /// Installs (or replaces) the flag sink before run(). Exists because a
+  /// sink like LiveClusterFeed is constructed FROM the monitor (it replays
+  /// the monitor's arrival schedule), so it cannot be in the config yet.
   void set_sink(FlagSink sink);
+
+  /// Stream low watermark, in admission time: every checkpoint event
+  /// admitted strictly below it has been fully processed (its flags
+  /// emitted). The minimum of the shard engines' watermarks; before run()
+  /// builds the engines, the first planned admission (+inf for an empty
+  /// plan). Callable before run() and from sinks during run() — this is the
+  /// bound LiveClusterFeed advances the cluster engine to.
+  double low_watermark() const;
 
   /// Serves the whole plan. Call once.
   FleetResult run();

@@ -11,14 +11,17 @@
 //   * load-shedding engages under an over-budget spike, sheds only QoS
 //     classes below the floor, never a job's final checkpoint, and sheds
 //     the same checkpoints on every rerun.
-// Plus the fleet's error path: a stage error on either side of a drain
-// handoff is rethrown from run(), which returns without hanging.
+// Plus the error path — a stage error, inside one engine or on either side
+// of a drain handoff, is rethrown from run() after every engine drained —
+// and the live cluster feed: a deterministic function of the flag set,
+// identical to posting the same flags up front at any shard x worker count.
 #include "serve/shard_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <tuple>
@@ -26,6 +29,7 @@
 
 #include "core/registry.h"
 #include "eval/harness.h"
+#include "serve/cluster_sink.h"
 #include "serve/placement.h"
 #include "test_failing_method.h"
 #include "trace/generator.h"
@@ -100,55 +104,72 @@ struct RecordingSink {
 
 TEST(ShardedMonitor, SerializedFleetIsBitIdenticalToRunMethod) {
   const auto jobs = generated_jobs(4);
-  const auto method = core::predictor_by_name("GBTR", tuned(true));
-  const auto reference = eval::run_method(method, jobs);
+  // An outlier detector, the privileged method, and a warm-started learner —
+  // three very different predictor lifecycles through the same lane code.
+  for (const auto* name : {"HBOS", "Wrangler", "GBTR"}) {
+    SCOPED_TRACE(name);
+    const auto method = core::predictor_by_name(name, tuned(true));
+    const auto reference = eval::run_method(method, jobs);
 
-  ShardedMonitorConfig config;
-  config.shards = 1;
-  config.threads = 1;
-  ShardedMonitor fleet(jobs, method, config);
-  const auto served = fleet.run();
+    ShardedMonitorConfig config;
+    config.shards = 1;
+    config.threads = 1;
+    ShardedMonitor fleet(jobs, method, config);
+    const auto served = fleet.run();
 
-  expect_runs_identical(served.runs, reference);
-  EXPECT_EQ(served.totals.jobs, jobs.size());
+    expect_runs_identical(served.runs, reference);
+    EXPECT_EQ(served.totals.jobs, jobs.size());
+  }
 }
 
 // The headline acceptance pin: identical per-job records AND flag set at
-// shards in {1, 2, 4} x workers in {1, 4}, for both tuned configs, under
-// Poisson arrivals and least-loaded placement (the policy with the most
-// plan-state coupling — if determinism broke anywhere it would break here).
+// shards in {1, 2, 4} x workers in {1, 4, 16}, for a monolithic method and a
+// warm-started one under both tuned configs, with Poisson arrivals and
+// least-loaded placement (the policy with the most plan-state coupling — if
+// determinism broke anywhere it would break here). Arrival offsets
+// interleave the streams, but each job's session sees exactly the same
+// checkpoints, so records equal the batch harness's; RecordingSink asserts
+// per-job checkpoint order on every delivery.
 TEST(ShardedMonitor, FlagSetIdenticalAcrossShardAndWorkerGrid) {
   const auto jobs = generated_jobs(6);
-  for (const bool google : {true, false}) {
-    SCOPED_TRACE(google ? "google_tuned" : "alibaba_tuned");
-    const auto method = core::predictor_by_name("GBTR", tuned(google));
-    const auto reference = eval::run_method(method, jobs);
+  for (const auto* name : {"HBOS", "GBTR"}) {
+    for (const bool google : {true, false}) {
+      SCOPED_TRACE(std::string(name) +
+                   (google ? " google_tuned" : " alibaba_tuned"));
+      const auto method = core::predictor_by_name(name, tuned(google));
+      const auto reference = eval::run_method(method, jobs);
 
-    std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> flags0;
-    bool first = true;
-    for (const std::size_t shards : {1u, 2u, 4u}) {
-      for (const std::size_t workers : {1u, 4u}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards) +
-                     " workers=" + std::to_string(workers));
-        ShardedMonitorConfig config;
-        config.shards = shards;
-        config.threads = workers;
-        config.arrivals = sched::poisson_arrivals(3.0);
-        config.arrival_seed = 7;
-        config.placement = least_loaded_placement();
-        RecordingSink sink(jobs.size());
-        config.sink = sink.sink();
-        ShardedMonitor fleet(jobs, method, config);
-        const auto served = fleet.run();
+      std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> flags0;
+      ServeStats totals0;
+      bool first = true;
+      for (const std::size_t shards : {1u, 2u, 4u}) {
+        for (const std::size_t workers : {1u, 4u, 16u}) {
+          SCOPED_TRACE("shards=" + std::to_string(shards) +
+                       " workers=" + std::to_string(workers));
+          ShardedMonitorConfig config;
+          config.shards = shards;
+          config.threads = workers;
+          config.arrivals = sched::poisson_arrivals(3.0);
+          config.arrival_seed = 7;
+          config.placement = least_loaded_placement();
+          RecordingSink sink(jobs.size());
+          config.sink = sink.sink();
+          ShardedMonitor fleet(jobs, method, config);
+          EXPECT_EQ(fleet.arrivals().size(), jobs.size());
+          const auto served = fleet.run();
 
-        expect_runs_identical(served.runs, reference);
-        if (first) {
-          flags0 = sink.flag_set();
-          first = false;
-        } else {
-          EXPECT_EQ(sink.flag_set(), flags0);
+          expect_runs_identical(served.runs, reference);
+          if (first) {
+            flags0 = sink.flag_set();
+            totals0 = served.totals;
+            first = false;
+          } else {
+            EXPECT_EQ(sink.flag_set(), flags0);
+            EXPECT_EQ(served.totals.checkpoints, totals0.checkpoints);
+            EXPECT_EQ(served.totals.flags, totals0.flags);
+          }
+          EXPECT_EQ(served.totals.lanes, shards * workers);
         }
-        EXPECT_EQ(served.totals.lanes, shards * workers);
       }
     }
   }
@@ -470,7 +491,8 @@ TEST(ShardedMonitor, SheddingIsTieredDeterministicAndSparesFinals) {
   }
 }
 
-// Fleet stats account for every planned event exactly once, at any shape.
+// Fleet stats account for every planned event and every emitted flag
+// exactly once, at any shape.
 TEST(ShardedMonitor, StatsCoverEveryCheckpoint) {
   const auto jobs = generated_jobs(5, 6);
   const auto method = core::predictor_by_name("HBOS", tuned(true));
@@ -484,7 +506,23 @@ TEST(ShardedMonitor, StatsCoverEveryCheckpoint) {
   ShardedMonitor fleet(jobs, method, config);
   const auto served = fleet.run();
 
+  std::size_t flagged = 0;
+  for (const auto& run : served.runs) {
+    for (const auto at : run.flagged_at) {
+      if (at != eval::kNeverFlagged) ++flagged;
+    }
+  }
   EXPECT_EQ(served.totals.checkpoints, total);
+  EXPECT_EQ(served.totals.flags, flagged);
+  EXPECT_EQ(served.totals.lanes, 6u);
+  EXPECT_GT(served.totals.checkpoints_per_sec, 0.0);
+  EXPECT_GE(served.totals.p99_latency_ms, served.totals.p50_latency_ms);
+  EXPECT_GE(served.totals.peak_backlog, 1u);
+  // Every stage body ran at least once, so every stage accumulated time.
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    EXPECT_GT(served.totals.stage_seconds[i], 0.0)
+        << stage_name(static_cast<Stage>(i));
+  }
   std::size_t per_shard = 0;
   std::size_t shard_jobs = 0;
   for (const auto& s : served.shards) {
@@ -505,6 +543,171 @@ TEST(ShardedMonitor, RunTwiceThrows) {
   ShardedMonitor fleet(jobs, method, config);
   fleet.run();
   EXPECT_THROW(fleet.run(), std::invalid_argument);
+}
+
+// The error path inside one engine: one job's predictor throws at
+// checkpoint 3. Serialized and at 4 workers, a bare ShardEngine rethrows
+// that error from run() only after every admitted event retired (in-flight
+// back to zero), the failing lane stops at the failing checkpoint, and a
+// one-shard fleet's run() surfaces the same error.
+TEST(ShardedMonitor, StageErrorIsRethrownAfterTheEngineDrains) {
+  const auto jobs = generated_jobs(6, /*seed=*/15);
+  constexpr std::size_t kFailJob = 2;
+  constexpr std::size_t kFailCheckpoint = 3;
+  const auto method =
+      failing_method(core::predictor_by_name("HBOS", tuned(true)),
+                     jobs[kFailJob].id, kFailCheckpoint);
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::vector<JobSession> sessions(jobs.size());
+    std::vector<EngineEvent> events;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      sessions[j].predictor = method.make();
+      sessions[j].run.emplace(jobs[j], *sessions[j].predictor);
+      for (std::size_t t = 0; t < jobs[j].checkpoint_count(); ++t) {
+        events.push_back({jobs[j].trace.tau_run(t),
+                          static_cast<std::uint32_t>(j),
+                          static_cast<std::uint32_t>(t)});
+      }
+    }
+    std::sort(events.begin(), events.end(),
+              [](const EngineEvent& a, const EngineEvent& b) {
+                return std::tie(a.time, a.job, a.checkpoint) <
+                       std::tie(b.time, b.job, b.checkpoint);
+              });
+    EngineConfig config;
+    config.threads = workers;
+    ShardEngine engine(jobs, sessions, std::move(events), config, {});
+    expect_injected_failure([&] { engine.run(); });
+    EXPECT_EQ(engine.inflight(), 0u);
+    EXPECT_EQ(sessions[kFailJob].run->next_checkpoint(), kFailCheckpoint);
+
+    ShardedMonitorConfig fleet_config;
+    fleet_config.shards = 1;
+    fleet_config.threads = workers;
+    ShardedMonitor fleet(jobs, method, fleet_config);
+    expect_injected_failure([&] { fleet.run(); });
+  }
+}
+
+// ---- live cluster feed -----------------------------------------------------
+
+sched::ClusterConfig small_pool_config() {
+  sched::ClusterConfig config;
+  config.machines = 4;
+  config.reclaim_releases = true;  // the regime where the pool binds
+  return config;
+}
+
+ShardedMonitorConfig live_fleet_config(std::size_t shards,
+                                       std::size_t workers,
+                                       std::uint64_t arrival_seed) {
+  ShardedMonitorConfig config;
+  config.shards = shards;
+  config.threads = workers;
+  config.arrivals = sched::poisson_arrivals(0.02);
+  config.arrival_seed = arrival_seed;
+  return config;
+}
+
+void expect_cluster_identical(const sched::ClusterResult& a,
+                              const sched::ClusterResult& b) {
+  ASSERT_EQ(a.jobs.size(), b.jobs.size());
+  for (std::size_t j = 0; j < a.jobs.size(); ++j) {
+    EXPECT_DOUBLE_EQ(a.jobs[j].mitigated_jct, b.jobs[j].mitigated_jct);
+    EXPECT_DOUBLE_EQ(a.jobs[j].completion, b.jobs[j].completion);
+    EXPECT_EQ(a.jobs[j].relaunched, b.jobs[j].relaunched);
+    EXPECT_EQ(a.jobs[j].waited, b.jobs[j].waited);
+    EXPECT_EQ(a.jobs[j].noop_flags, b.jobs[j].noop_flags);
+  }
+  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.relaunched, b.relaunched);
+  EXPECT_EQ(a.waited, b.waited);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.peak_waiting, b.peak_waiting);
+}
+
+// Reference for the live path: a live-mode engine fed every flag up front
+// (watermark never advanced until finish), which by the engine's
+// determinism contract must equal any interleaved advance schedule.
+sched::ClusterResult posted_upfront(std::span<const trace::Job> jobs,
+                                    const ShardedMonitor& monitor,
+                                    std::span<const eval::JobRunResult> runs,
+                                    std::uint64_t seed) {
+  auto config = small_pool_config();
+  const auto times = monitor.arrivals();
+  config.arrivals =
+      sched::fixed_arrivals(std::vector<double>(times.begin(), times.end()));
+  Rng rng(seed);
+  sched::ClusterEngine engine(jobs, config, rng);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    for (std::size_t i = 0; i < runs[j].flagged_at.size(); ++i) {
+      if (runs[j].flagged_at[i] != eval::kNeverFlagged) {
+        engine.post_flag(j, i, runs[j].flagged_at[i]);
+      }
+    }
+  }
+  return engine.finish();
+}
+
+TEST(LiveClusterFeed, MatchesFlagsPostedUpfront) {
+  const auto jobs = generated_jobs(5, /*seed=*/7);
+  const auto method = core::predictor_by_name("HBOS", tuned(true));
+  const std::uint64_t seed = 29;
+
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedMonitor fleet(jobs, method, live_fleet_config(shards, 1, 13));
+    // Before run() the watermark is the first planned admission.
+    EXPECT_EQ(fleet.low_watermark(), fleet.plan().events.front().admission);
+    LiveClusterFeed feed(jobs, small_pool_config(), fleet, seed);
+    fleet.set_sink(feed.sink());
+    const auto served = fleet.run();
+    const auto live = feed.finish();
+    EXPECT_EQ(fleet.low_watermark(), std::numeric_limits<double>::infinity());
+
+    const auto reference = posted_upfront(jobs, fleet, served.runs, seed);
+    expect_cluster_identical(live, reference);
+    EXPECT_GT(live.relaunched, 0u);  // the scenario actually exercises flags
+  }
+}
+
+TEST(LiveClusterFeed, ShardAndWorkerCountDoNotChangeTheCluster) {
+  const auto jobs = generated_jobs(5, /*seed=*/9);
+  const auto method = core::predictor_by_name("HBOS", tuned(true));
+  const std::uint64_t seed = 31;
+
+  auto run_at = [&](std::size_t shards, std::size_t workers) {
+    ShardedMonitor fleet(jobs, method, live_fleet_config(shards, workers, 19));
+    LiveClusterFeed feed(jobs, small_pool_config(), fleet, seed);
+    fleet.set_sink(feed.sink());
+    fleet.run();
+    return feed.finish();
+  };
+
+  const auto serial = run_at(1, 1);
+  for (const std::size_t shards : {1u, 2u}) {
+    for (const std::size_t workers : {1u, 4u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " workers=" + std::to_string(workers));
+      expect_cluster_identical(run_at(shards, workers), serial);
+    }
+  }
+}
+
+// A quota shifts admission times past arrival + τrun, where the cluster
+// places flags, so a metered fleet's watermark would let the cluster run
+// ahead of flags still in flight: the feed refuses such a fleet.
+TEST(LiveClusterFeed, RejectsFleetWithQuotaDeferredEvents) {
+  const auto jobs = generated_jobs(4, /*seed=*/3);
+  auto config = live_fleet_config(1, 1, 5);
+  config.arrivals = sched::poisson_arrivals(50.0);
+  config.tenants = {TenantSpec{"metered", QoS::kStandard, 0.01, 4.0}};
+  ShardedMonitor fleet(jobs, core::predictor_by_name("HBOS", tuned(true)),
+                       config);
+  ASSERT_GT(fleet.plan().deferred_events, 0u);
+  EXPECT_THROW(LiveClusterFeed(jobs, small_pool_config(), fleet, 1),
+               std::invalid_argument);
 }
 
 }  // namespace
