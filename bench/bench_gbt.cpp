@@ -4,13 +4,6 @@
 //   $ ./bench_gbt [--n=10000] [--d=16] [--rounds=20] [--min-depth=3]
 //                 [--max-depth=8] [--eval-jobs=50] [--threads=4]
 //                 [--eval-method=NURD] [--skip-eval=0]
-//                 [--backend=reference|avx2|auto]
-//
-// --backend selects the kernel-dispatch backend the whole bench runs under
-// (default: whatever NURD_KERNEL_BACKEND / the library default resolves to);
-// the active backend is named in the output. A cross-backend section then
-// re-times the histogram fit under every available backend and reports the
-// measured end-to-end speedup over the reference scalar path.
 //
 // Prints, per depth: fit time, fit throughput (rows/sec, counting each
 // boosting round as one pass over the rows), predict throughput, and the
@@ -29,7 +22,6 @@
 #include "eval/harness.h"
 #include "kernel/kernel.h"
 #include "ml/gbt.h"
-#include "ml/logistic.h"
 
 namespace {
 
@@ -60,23 +52,6 @@ FitTiming time_gbt(const nurd::Matrix& x, const std::vector<double>& y,
   return t;
 }
 
-// Applies a --backend flag value; "" leaves the library default in place.
-void select_backend(const std::string& flag) {
-  using nurd::kernel::Backend;
-  if (flag.empty()) return;
-  if (flag == "reference") {
-    nurd::kernel::set_backend(Backend::kReference);
-  } else if (flag == "avx2") {
-    nurd::kernel::set_backend(Backend::kAvx2);
-  } else if (flag == "auto") {
-    nurd::kernel::set_backend(nurd::kernel::best_available());
-  } else {
-    std::fprintf(stderr, "unknown --backend=%s (reference|avx2|auto)\n",
-                 flag.c_str());
-    std::exit(2);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -94,7 +69,6 @@ int main(int argc, char** argv) {
   const auto eval_method =
       bench::arg_string(argc, argv, "eval-method", "NURD");
   const bool skip_eval = bench::arg_long(argc, argv, "skip-eval", 0) != 0;
-  select_backend(bench::arg_string(argc, argv, "backend", ""));
 
   // Synthetic regression task: nonlinear, every feature informative enough
   // that trees keep splitting to the depth cap.
@@ -134,51 +108,6 @@ int main(int argc, char** argv) {
     std::printf("%6s  predict: exact %.0f rows/s, hist %.0f rows/s\n", "",
                 static_cast<double>(n) / exact.predict_seconds,
                 static_cast<double>(n) / hist.predict_seconds);
-  }
-
-  // Cross-backend comparison, speedup measured against reference: the same
-  // histogram fit at the deepest depth (tree traversal bounds this one), and
-  // a logistic-regression Newton solve on the same design — the solver is
-  // nearly all kernel primitives (gemv / sigmoid / syrk / Cholesky), so it
-  // shows the kernel layer's end-to-end effect undiluted.
-  {
-    ml::GbtParams params;
-    params.n_rounds = rounds;
-    params.tree.max_depth = max_depth;
-    params.tree.split = ml::SplitMethod::kHistogram;
-    std::vector<double> ybin(n);
-    for (std::size_t i = 0; i < n; ++i) ybin[i] = y[i] > 0.0 ? 1.0 : 0.0;
-
-    auto time_logistic = [&] {
-      ml::LogisticParams lp;
-      ml::LogisticRegression lr(lp);
-      const auto start = Clock::now();
-      lr.fit(x, ybin);
-      return seconds_since(start);
-    };
-
-    const auto prior = kernel::active_backend();
-    kernel::set_backend(kernel::Backend::kReference);
-    const auto ref_t = time_gbt(x, y, params);
-    const double ref_logit = time_logistic();
-    std::printf("\nbackend comparison (hist fit depth=%d; logistic fit):\n",
-                max_depth);
-    std::printf("  %-10s  gbt %8.3fs %12.0f rows/s %7s   logistic %8.3fs %7s\n",
-                "reference", ref_t.fit_seconds, total_rows / ref_t.fit_seconds,
-                "1.00x", ref_logit, "1.00x");
-    if (kernel::backend_available(kernel::Backend::kAvx2)) {
-      kernel::set_backend(kernel::Backend::kAvx2);
-      const auto avx_t = time_gbt(x, y, params);
-      const double avx_logit = time_logistic();
-      std::printf(
-          "  %-10s  gbt %8.3fs %12.0f rows/s %6.2fx   logistic %8.3fs %6.2fx\n",
-          "avx2", avx_t.fit_seconds, total_rows / avx_t.fit_seconds,
-          ref_t.fit_seconds / avx_t.fit_seconds, avx_logit,
-          ref_logit / avx_logit);
-    } else {
-      std::printf("  avx2: unavailable on this build/CPU\n");
-    }
-    kernel::set_backend(prior);
   }
 
   if (skip_eval) return 0;

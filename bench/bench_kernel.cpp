@@ -1,6 +1,5 @@
-// Kernel-primitive microbenchmark: per-primitive throughput (GB/s) for every
-// compiled-in backend, plus the speedup of each accelerated backend over the
-// reference scalar path.
+// Kernel-primitive microbenchmark: per-primitive throughput (GB/s) of the
+// kernel::ops() table.
 //
 //   $ ./bench_kernel [--n=262144] [--reps=200] [--cols=16]
 //
@@ -45,10 +44,10 @@ struct PrimitiveTiming {
   double seconds = 0.0;
 };
 
-// Runs every primitive `reps` times under `ops` and returns one timing row
-// per primitive. `sink` defeats dead-code elimination across reps.
-std::vector<PrimitiveTiming> run_backend(const KernelOps& ops, Workset& w,
-                                         int reps, double* sink) {
+// Runs every primitive `reps` times and returns one timing row per
+// primitive. `sink` defeats dead-code elimination across reps.
+std::vector<PrimitiveTiming> run_primitives(const KernelOps& ops, Workset& w,
+                                            int reps, double* sink) {
   std::vector<PrimitiveTiming> rows;
   const auto dn = static_cast<double>(w.n);
   auto time_it = [&](const char* name, double bytes, auto&& body) {
@@ -137,42 +136,15 @@ int main(int argc, char** argv) {
   std::printf("bench_kernel: n=%zu reps=%d cols=%zu (gemv/l2_rows: %zux%zu)\n",
               n, reps, cols, w.rows, cols);
 
-  // Reference first: it is both a result column and the speedup baseline.
-  std::vector<const kernel::KernelOps*> backends = {&kernel::reference_ops()};
-  if (kernel::backend_available(kernel::Backend::kAvx2)) {
-    backends.push_back(kernel::detail::avx2_ops());
-  } else {
-    std::printf("avx2: unavailable on this build/CPU — reference only\n");
-  }
-
   double sink = 0.0;
-  std::vector<std::vector<PrimitiveTiming>> results;
-  for (const auto* ops : backends) {
-    results.push_back(run_backend(*ops, w, reps, &sink));
+  const auto timings = run_primitives(kernel::ops(), w, reps, &sink);
+  std::printf("%-18s  %9s\n", "primitive", "GB/s");
+  for (const auto& t : timings) {
+    const double gbs =
+        t.bytes_per_rep * reps / t.seconds / (1024.0 * 1024.0 * 1024.0);
+    std::printf("%-18s  %9.2f\n", t.name, gbs);
   }
 
-  std::printf("%-18s", "primitive");
-  for (const auto* ops : backends) std::printf("  %9s GB/s", ops->name);
-  if (backends.size() > 1) std::printf("   speedup");
-  std::printf("\n");
-  for (std::size_t p = 0; p < results[0].size(); ++p) {
-    std::printf("%-18s", results[0][p].name);
-    for (const auto& backend_rows : results) {
-      const auto& t = backend_rows[p];
-      const double gbs =
-          t.bytes_per_rep * reps / t.seconds / (1024.0 * 1024.0 * 1024.0);
-      std::printf("  %14.2f", gbs);
-    }
-    if (backends.size() > 1) {
-      std::printf("  %7.2fx", results[0][p].seconds / results[1][p].seconds);
-    }
-    std::printf("\n");
-  }
-
-  std::printf("active dispatch backend: %s (best available: %s)\n",
-              kernel::backend_name(),
-              kernel::backend_available(kernel::Backend::kAvx2) ? "avx2"
-                                                                : "reference");
   volatile double guard = sink;
   (void)guard;
   bench::print_resource_report("bench_kernel");

@@ -6,20 +6,20 @@
 //   ./bench_serve                         # NURD, both tuned configs, 1/4/16
 //   ./bench_serve --levels=64,256 --shards=1,2,4
 //                                         # the fleet-scaling sweep
-//   ./bench_serve --shards=4 --check      # pin flag-set identity vs the
+//   ./bench_serve --shards=4 --check=1    # pin flag-set identity vs the
 //                                         # first shard count in the list
 //   ./bench_serve --method=GBTR --rounds=10 --dataset=google
 //                 --json=BENCH_serve.json   # the CI smoke invocation
 //
 // Flags: --levels (comma list of concurrent-job counts), --shards (comma
 // list of shard counts; each level runs once per count), --placement
-// (hash|least-loaded|affinity), --check (assert per-job records and the
+// (hash|least-loaded|affinity), --check=1 (assert per-job records and the
 // flag set are identical across the --shards list; non-zero exit on drift),
 // --method (Table-3 name), --dataset=google|alibaba|both, --threads
 // (serving workers PER SHARD, 0 = hw), --rounds (override boosting rounds;
 // 0 keeps the tuned config),
 // --service_rate + --shed_budget (enable the modeled per-shard backlog and
-// QoS-tiered load-shedding; sheds change flags, so --check refuses them),
+// QoS-tiered load-shedding; sheds change flags, so --check=1 refuses them),
 // --seed, --json=<path> (machine-readable results; what CI uploads as the
 // bench artifact). Every level serves each job's FULL checkpoint stream
 // with batch arrivals, so `level` is exactly the number of jobs streaming
@@ -76,13 +76,7 @@ int main(int argc, char** argv) {
       parse_levels(bench::arg_string(argc, argv, "shards", "1"));
   const auto placement_name =
       bench::arg_string(argc, argv, "placement", "hash");
-  const bool check = !bench::arg_string(argc, argv, "check", "").empty() ||
-                     [&] {
-                       for (int i = 1; i < argc; ++i) {
-                         if (std::string_view(argv[i]) == "--check") return true;
-                       }
-                       return false;
-                     }();
+  const bool check = bench::arg_long(argc, argv, "check", 0) != 0;
   const auto method_name = bench::arg_string(argc, argv, "method", "NURD");
   const auto dataset = bench::arg_string(argc, argv, "dataset", "both");
   const auto threads =
@@ -98,7 +92,7 @@ int main(int argc, char** argv) {
 
   if (check && shed_budget > 0) {
     std::fprintf(stderr,
-                 "--check with --shed_budget: sheds change flags by design; "
+                 "--check=1 with --shed_budget: sheds change flags by design; "
                  "refusing to pin them equal\n");
     return 2;
   }

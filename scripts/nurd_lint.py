@@ -6,11 +6,12 @@ thread-safety annotations and clang-tidy cover lock discipline and generic
 bug patterns; these rules are NURD-specific):
 
   wall-clock     Deterministic paths (src/core, src/eval, src/trace, src/ml,
-                 src/sched) must not read wall-clock time, the C random
-                 number generator, or process-global environment state. The
-                 determinism contract says every result is a function of the
-                 seeds; a stray steady_clock::now() or std::rand() in a fit
-                 or scheduling path silently breaks bit-identical replay.
+                 src/sched, src/scenario, src/kernel) must not read
+                 wall-clock time, the C random number generator, or
+                 process-global environment state. The determinism
+                 contract says every result is a function of the seeds; a
+                 stray steady_clock::now() or std::rand() in a fit or
+                 scheduling path silently breaks bit-identical replay.
                  Timing belongs to bench/ and src/serve (wall-clock serving
                  stats), which are outside the rule's scope or allowlisted.
 
@@ -69,7 +70,7 @@ from dataclasses import dataclass, field
 
 # Directories whose results must be a pure function of the seeds.
 DETERMINISTIC_DIRS = ("src/core", "src/eval", "src/trace", "src/ml",
-                      "src/sched", "src/scenario")
+                      "src/sched", "src/scenario", "src/kernel")
 
 # Wall-clock / global-entropy / global-state tokens banned there.
 WALL_CLOCK_TOKENS = [

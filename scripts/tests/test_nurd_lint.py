@@ -61,6 +61,12 @@ class WallClockRule(unittest.TestCase):
         self.assertEqual([f.line for f in wall], [8, 13])
         self.assertNotIn(17, {f.line for f in findings})  # comment
 
+    def test_kernel_layer_is_in_scope(self):
+        findings, _ = lint("src/kernel/bad_env.cpp")
+        wall = [f for f in findings if f.rule == "wall-clock"]
+        self.assertEqual([f.line for f in wall], [9, 14])
+        self.assertNotIn(18, {f.line for f in findings})  # comment
+
 
 class UnorderedIterationRule(unittest.TestCase):
     def test_fires_on_iteration_not_lookup(self):

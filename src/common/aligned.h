@@ -1,9 +1,10 @@
-// 32-byte aligned allocation for SIMD-facing buffers. Feature matrices,
-// histogram triplet arrays, and the FitSession scratch blocks allocate
-// through AlignedAllocator so a kernel backend can use aligned vector loads
-// on column/row starts. Alignment is a performance property only: every
-// kernel primitive also accepts unaligned pointers (the AVX2 backend uses
-// unaligned load/store instructions, which are full speed on aligned data).
+// 32-byte aligned allocation for the buffers the kernel primitives stream.
+// Feature matrices, tree-builder histograms and the FitSession scratch
+// blocks allocate through AlignedAllocator, so each buffer starts on a
+// 32-byte boundary whatever the heap's default placement: a histogram bin
+// (kernel::kHistBinStride doubles) never straddles a 64-byte cache line, and
+// a buffer's cache-line layout does not move between runs. Alignment is a
+// performance property only: every kernel primitive accepts any pointer.
 #pragma once
 
 #include <cstddef>
@@ -13,7 +14,8 @@
 
 namespace nurd {
 
-/// Alignment (bytes) for SIMD-facing allocations: one AVX2 vector.
+/// Alignment (bytes) of AlignedAllocator storage: four doubles, one
+/// histogram bin.
 inline constexpr std::size_t kSimdAlign = 32;
 
 /// Minimal std::allocator replacement with 32-byte aligned storage.

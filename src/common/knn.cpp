@@ -16,8 +16,8 @@ std::vector<Neighbor> KnnIndex::query(std::span<const double> query,
   NURD_CHECK(query.size() == points_.cols(), "query dimension mismatch");
   const std::size_t n = points_.rows();
   // One batched kernel call for all n squared distances (the scan below then
-  // only filters and sorts); reference backend matches the per-row
-  // squared_distance loop bit-for-bit.
+  // only filters and sorts); it matches the per-row squared_distance loop
+  // bit-for-bit.
   std::vector<double> d2(n);
   kernel::ops().squared_l2_rows(points_.flat().data(), n, points_.cols(),
                                 query.data(), d2.data());

@@ -162,16 +162,15 @@ class Matrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t row_reserve_hint_ = 0;
-  // 32-byte aligned so SIMD kernel backends get aligned row/column loads.
-  // reserve_rows/reset keep their capacity-preserving semantics unchanged —
-  // the allocator only changes WHERE the buffer lands, never when it is
-  // (re)allocated.
+  // 32-byte aligned (common/aligned.h), so the buffer's cache-line layout
+  // does not depend on heap placement. reserve_rows/reset keep their
+  // capacity-preserving semantics unchanged — the allocator only changes
+  // WHERE the buffer lands, never when it is (re)allocated.
   AlignedVector<double> data_;
 };
 
-/// Squared Euclidean distance between two equal-length vectors. Dispatches
-/// through the kernel layer (kernel/kernel.h): bit-exact under the reference
-/// backend, tolerance-bound under accelerated ones.
+/// Squared Euclidean distance between two equal-length vectors, through the
+/// kernel layer (kernel/kernel.h): bit-exact with the sequential loop.
 double squared_distance(std::span<const double> a, std::span<const double> b);
 
 /// Euclidean distance between two equal-length vectors.

@@ -1,24 +1,15 @@
 #include "kernel/kernel.h"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
-
-#include "common/check.h"
 #include "common/stats.h"
 
 namespace nurd::kernel {
 
 namespace {
 
-// ---- reference backend -----------------------------------------------------
-// Each primitive is the EXACT scalar loop the call sites ran before the
-// dispatch layer existed — same accumulation order, same operations — so the
-// reference backend is bit-identical to the pre-kernel library. Do not
-// "optimize" these (no reassociation, no FMA): they are the golden path the
-// parity suite pins the accelerated backends against.
+// Each primitive is the EXACT scalar loop its call sites ran before they
+// called the kernel layer — same accumulation order, same operations — so
+// results are bit-identical to those loops. Do not "optimize" these (no
+// reassociation, no FMA): tests/golden/fingerprints.json pins their bits.
 
 double ref_dot(double init, const double* a, const double* b, std::size_t n) {
   double s = init;
@@ -121,123 +112,26 @@ void ref_sigmoid(const double* z, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = nurd::sigmoid(z[i]);
 }
 
-constexpr KernelOps kReferenceOps = {
-    "reference",        ref_dot,
-    ref_dot_sub,        ref_squared_l2,
-    ref_pair_sum_indexed, ref_axpy,
-    ref_vsub,           ref_gemv,
-    ref_syrk_rank1_upper, ref_squared_l2_rows,
-    ref_hist_accumulate, ref_hist_subtract,
-    ref_bin_index,      ref_sigmoid,
+constexpr KernelOps kOps = {
+    .dot = ref_dot,
+    .dot_sub = ref_dot_sub,
+    .squared_l2 = ref_squared_l2,
+    .pair_sum_indexed = ref_pair_sum_indexed,
+    .axpy = ref_axpy,
+    .vsub = ref_vsub,
+    .gemv = ref_gemv,
+    .syrk_rank1_upper = ref_syrk_rank1_upper,
+    .squared_l2_rows = ref_squared_l2_rows,
+    .hist_accumulate = ref_hist_accumulate,
+    .hist_subtract = ref_hist_subtract,
+    .bin_index = ref_bin_index,
+    .sigmoid = ref_sigmoid,
 };
-
-// ---- dispatch --------------------------------------------------------------
-
-std::atomic<const KernelOps*> g_ops{nullptr};
-std::once_flag g_env_once;
-
-const KernelOps* table_of(Backend b) {
-  switch (b) {
-    case Backend::kReference:
-      return &kReferenceOps;
-    case Backend::kAvx2:
-      return detail::avx2_ops();
-    case Backend::kNeon:
-      return detail::neon_ops();
-  }
-  return nullptr;
-}
-
-/// Resolves NURD_KERNEL_BACKEND once. Unknown or unavailable values warn on
-/// stderr and fall back to the reference backend (a bench run on a non-AVX2
-/// box should degrade, not die).
-void init_from_env() {
-  // Read exactly once, under std::call_once before any worker threads
-  // exist; nothing in the process calls setenv.
-  const char* env = std::getenv("NURD_KERNEL_BACKEND");  // NOLINT(concurrency-mt-unsafe)
-  const KernelOps* chosen = &kReferenceOps;
-  if (env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "reference") == 0) {
-      chosen = &kReferenceOps;
-    } else if (std::strcmp(env, "auto") == 0) {
-      chosen = table_of(best_available());
-    } else if (std::strcmp(env, "avx2") == 0 ||
-               std::strcmp(env, "neon") == 0) {
-      const Backend want =
-          std::strcmp(env, "avx2") == 0 ? Backend::kAvx2 : Backend::kNeon;
-      if (backend_available(want)) {
-        chosen = table_of(want);
-      } else {
-        std::fprintf(stderr,
-                     "nurd: NURD_KERNEL_BACKEND=%s not available on this "
-                     "build/CPU; using reference\n",
-                     env);
-      }
-    } else {
-      std::fprintf(stderr,
-                   "nurd: unknown NURD_KERNEL_BACKEND=%s (want reference, "
-                   "avx2, neon, or auto); using reference\n",
-                   env);
-    }
-  }
-  g_ops.store(chosen, std::memory_order_release);
-}
-
-const KernelOps* active_table() {
-  const KernelOps* p = g_ops.load(std::memory_order_acquire);
-  if (p == nullptr) {
-    std::call_once(g_env_once, init_from_env);
-    p = g_ops.load(std::memory_order_acquire);
-  }
-  return p;
-}
 
 }  // namespace
 
-const KernelOps& ops() { return *active_table(); }
+const KernelOps& ops() { return kOps; }
 
-const KernelOps& reference_ops() { return kReferenceOps; }
-
-bool backend_available(Backend b) {
-  switch (b) {
-    case Backend::kReference:
-      return true;
-    case Backend::kAvx2: {
-      const KernelOps* t = detail::avx2_ops();
-#if defined(__x86_64__) || defined(_M_X64)
-      return t != nullptr && __builtin_cpu_supports("avx2");
-#else
-      return t != nullptr;
-#endif
-    }
-    case Backend::kNeon:
-      return detail::neon_ops() != nullptr;
-  }
-  return false;
-}
-
-Backend best_available() {
-  if (backend_available(Backend::kAvx2)) return Backend::kAvx2;
-  if (backend_available(Backend::kNeon)) return Backend::kNeon;
-  return Backend::kReference;
-}
-
-void set_backend(Backend b) {
-  NURD_CHECK(backend_available(b),
-             "requested kernel backend is not available on this build/CPU");
-  // Resolve the env var first so a later first-use cannot overwrite this
-  // explicit selection.
-  (void)active_table();
-  g_ops.store(table_of(b), std::memory_order_release);
-}
-
-Backend active_backend() {
-  const KernelOps* p = active_table();
-  if (p == detail::avx2_ops() && p != nullptr) return Backend::kAvx2;
-  if (p == detail::neon_ops() && p != nullptr) return Backend::kNeon;
-  return Backend::kReference;
-}
-
-const char* backend_name() { return active_table()->name; }
+const char* backend_name() { return "reference"; }
 
 }  // namespace nurd::kernel

@@ -129,9 +129,9 @@ void LogisticRegression::fit(const Matrix& x, std::span<const double> y,
     // Gradient and Hessian of the penalized negative log-likelihood. The
     // X·θ product, the per-sample sigmoids, the Xᵀ·r accumulation (axpy) and
     // the upper-triangular Xᵀ·diag(v)·X rank-1 updates (syrk-lite) all
-    // dispatch through the kernel layer; per-accumulator addition order
-    // matches the seed's scalar loops, so the reference backend reproduces
-    // the pre-kernel solver bit-for-bit.
+    // go through the kernel layer; per-accumulator addition order matches
+    // the seed's scalar loops, so the solver is bit-for-bit the pre-kernel
+    // one.
     std::vector<double> grad(p, 0.0);
     Matrix hess(p, p, 0.0);
     if (!z_current) {

@@ -59,7 +59,7 @@ void LogisticLoss::grad_hess_batch(std::span<const Target> targets,
                                    std::span<const double> score,
                                    std::span<double> grad,
                                    std::span<double> hess) const {
-  // One batched sigmoid (kernel-dispatched; hess doubles as the p scratch),
+  // One batched sigmoid (kernel::ops(); hess doubles as the p scratch),
   // then the same per-element grad/hess arithmetic as the scalar path.
   kernel::ops().sigmoid(score.data(), hess.data(), score.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {

@@ -45,7 +45,7 @@ class Loss {
   /// sample; concrete losses override with direct loops (LogisticLoss routes
   /// its sigmoid through the kernel layer). Element i of grad/hess receives
   /// grad_hess(targets[i], score[i]) — every override is element-for-element
-  /// identical to the scalar path under the reference backend.
+  /// identical to the scalar path.
   virtual void grad_hess_batch(std::span<const Target> targets,
                                std::span<const double> score,
                                std::span<double> grad,

@@ -355,11 +355,11 @@ std::int32_t RegressionTree::build_exact(ExactContext& ctx, std::size_t begin,
 }
 
 // Histogram-backend fit state. Histograms are flat aligned double arrays
-// with kernel::kHistBinStride slots per bin — (G, H, count, pad), one AVX2
-// vector each — accumulated and sibling-subtracted through the kernel
-// dispatch layer. offset[f]*kHistBinStride locates feature f's bins. The
-// root rows are partitioned in place per node, and histograms a node is done
-// with go to `spare` for the next one to reuse.
+// with kernel::kHistBinStride slots per bin — (G, H, count, pad), the pad
+// keeping each bin on a 32-byte boundary (kernel.h) — accumulated and
+// sibling-subtracted through the kernel layer. offset[f]*kHistBinStride
+// locates feature f's bins. The root rows are partitioned in place per node,
+// and histograms a node is done with go to `spare` for the next one to reuse.
 struct RegressionTree::HistContext {
   const FeatureBinner& binner;
   std::span<const double> grad;
@@ -462,8 +462,8 @@ std::int32_t RegressionTree::build_hist(HistContext& ctx, std::size_t begin,
 // Accumulates the (G, H, count) histogram of `rows` for every feature, on
 // the calling thread: a fit runs serially on the lane that owns its job, so
 // concurrency lives in the executor only. Each feature accumulates in row
-// order through the kernel layer, so the result is bit-identical on any
-// backend (per-bin adds are serial in row order; see kernel.h).
+// order through the kernel layer (per-bin adds are serial in row order;
+// see kernel.h), so the result is bit-identical to the scalar loop.
 AlignedVector<double> RegressionTree::compute_histogram(
     HistContext& ctx, const std::size_t* rows, std::size_t count) {
   const FeatureBinner& binner = ctx.binner;

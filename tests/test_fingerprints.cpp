@@ -5,8 +5,8 @@
 // Golden parity elsewhere is relative (one path against another); this test
 // catches a change that moves every path the same way.
 //
-// The runs are pinned to the reference kernel backend, so the fingerprints
-// do not depend on the host CPU. Regenerate the golden file with
+// The kernel primitives are bit-exact scalar code, so the fingerprints do
+// not depend on the host CPU. Regenerate the golden file with
 //
 //   NURD_REGEN_FINGERPRINTS=1 ./build/test_fingerprints
 //
@@ -24,7 +24,6 @@
 
 #include "core/registry.h"
 #include "eval/harness.h"
-#include "kernel/kernel.h"
 #include "trace/generator.h"
 
 namespace nurd {
@@ -150,19 +149,10 @@ void write_golden(const std::string& path,
   out << "  }\n}\n";
 }
 
-class ReferenceBackend {
- public:
-  ReferenceBackend() { kernel::set_backend(kernel::Backend::kReference); }
-  ~ReferenceBackend() { kernel::set_backend(kernel::Backend::kReference); }
-  ReferenceBackend(const ReferenceBackend&) = delete;
-  ReferenceBackend& operator=(const ReferenceBackend&) = delete;
-};
-
 TEST(Fingerprints, MatchGolden) {
   // Read before compute_all starts the pool's worker threads.
   const char* regen =
       std::getenv("NURD_REGEN_FINGERPRINTS");  // NOLINT(concurrency-mt-unsafe)
-  ReferenceBackend backend;
   const auto actual = compute_all();
   ASSERT_EQ(actual.size(), 2u * 2u * std::size(kMethods));
 
