@@ -1,22 +1,34 @@
-// Absolute behaviour fingerprints: for the boosted-tree methods (GBTR,
-// XGBOD, PU-EN, Grabit, NURD-NC, NURD) on both tuned configs under both
-// refit policies, a hash of every job's per-task flag checkpoint plus the
-// bits of the macro-F1 are compared against tests/golden/fingerprints.json.
+// Absolute behaviour fingerprints, compared against files under
+// tests/golden/:
+//
+//   fingerprints.json — for all 23 registry methods on both tuned configs
+//     under both refit policies: a hash of every job's per-task flag
+//     checkpoint plus the IEEE-754 bits of the macro-F1, TPR and FPR.
+//   detector_scores.json — for the 13 unsupervised detectors and XGBOD: a
+//     hash of the bits of every score on fixed checkpoint snapshots and a
+//     tie-heavy matrix, and for the neighbour and robust-covariance
+//     detectors also on degenerate shapes (tests/outlier_shapes.h). Flags at
+//     a contamination threshold can hide score drift; score bits cannot.
+//
 // Golden parity elsewhere is relative (one path against another); this test
 // catches a change that moves every path the same way.
 //
 // The kernel primitives are bit-exact scalar code, so the fingerprints do
-// not depend on the host CPU. Regenerate the golden file with
+// not depend on the host CPU. Regenerate the golden files with
 //
 //   NURD_REGEN_FINGERPRINTS=1 ./build/test_fingerprints
 //
 // and list every regeneration, with its metric deltas, in CHANGES.md.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +36,14 @@
 
 #include "core/registry.h"
 #include "eval/harness.h"
+#include "outlier/density_detectors.h"
+#include "outlier/ensemble_detectors.h"
+#include "outlier/iforest.h"
+#include "outlier/knn_detectors.h"
+#include "outlier/ocsvm.h"
+#include "outlier/statistical_detectors.h"
+#include "outlier/subspace_detectors.h"
+#include "outlier_shapes.h"
 #include "trace/generator.h"
 
 namespace nurd {
@@ -36,17 +56,12 @@ namespace {
 constexpr std::size_t kJobsPerDataset = 6;
 constexpr std::size_t kThreads = 4;
 
-const char* const kMethods[] = {"GBTR",   "XGBOD",   "PU-EN",
-                                "Grabit", "NURD-NC", "NURD"};
+/// One golden entry: field name → hex string.
+using Entry = std::map<std::string, std::string>;
+using Entries = std::map<std::string, Entry>;
 
-struct Fingerprint {
-  std::string flag_hash;  ///< FNV-1a 64 of every job's flagged_at, hex
-  std::string f1_bits;    ///< the macro-F1's IEEE-754 bits, hex
-  double f1 = 0.0;        ///< informational only; the bits are compared
-};
-
-std::string golden_path() {
-  return std::string(NURD_SOURCE_DIR) + "/tests/golden/fingerprints.json";
+std::string golden_path(const char* file) {
+  return std::string(NURD_SOURCE_DIR) + "/tests/golden/" + file;
 }
 
 std::string hex64(std::uint64_t v) {
@@ -56,6 +71,8 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   for (int b = 0; b < 8; ++b) {
     h ^= (v >> (8 * b)) & 0xffu;
@@ -64,21 +81,28 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-Fingerprint fingerprint(const core::NamedPredictor& method,
-                        const std::vector<trace::Job>& jobs) {
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+Entry method_fingerprint(const core::NamedPredictor& method,
+                         const std::vector<trace::Job>& jobs) {
   const auto runs = eval::run_method(method, jobs, 90.0, kThreads);
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = kFnvBasis;
   for (const auto& run : runs) {
     h = fnv1a(h, run.flagged_at.size());
     for (const auto at : run.flagged_at) h = fnv1a(h, at);
   }
-  const double f1 = eval::aggregate_method(method.name, runs).f1;
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &f1, sizeof(bits));
-  return {hex64(h), hex64(bits), f1};
+  const auto result = eval::aggregate_method(method.name, runs);
+  return {{"flag_hash", hex64(h)},
+          {"f1_bits", hex64(bits_of(result.f1))},
+          {"tpr_bits", hex64(bits_of(result.tpr))},
+          {"fpr_bits", hex64(bits_of(result.fpr))}};
 }
 
-std::map<std::string, Fingerprint> compute_all() {
+Entries compute_methods() {
   auto google = trace::GoogleLikeGenerator::google_defaults();
   auto alibaba = trace::AlibabaLikeGenerator::alibaba_defaults();
   const std::vector<std::pair<std::string, std::vector<trace::Job>>>
@@ -88,7 +112,7 @@ std::map<std::string, Fingerprint> compute_all() {
           {"alibaba_tuned",
            trace::AlibabaLikeGenerator(alibaba).generate(kJobsPerDataset)},
       };
-  std::map<std::string, Fingerprint> out;
+  Entries out;
   for (const auto& [config_name, jobs] : datasets) {
     for (const auto policy :
          {core::RefitPolicy::kFull, core::RefitPolicy::kIncremental}) {
@@ -97,79 +121,170 @@ std::map<std::string, Fingerprint> compute_all() {
       config.refit = policy;
       const std::string policy_name =
           policy == core::RefitPolicy::kFull ? "kFull" : "kIncremental";
-      for (const char* name : kMethods) {
-        const auto method = core::predictor_by_name(name, config);
-        out[config_name + "/" + name + "/" + policy_name] =
-            fingerprint(method, jobs);
+      for (const auto& method : core::all_predictors(config)) {
+        out[config_name + "/" + method.name + "/" + policy_name] =
+            method_fingerprint(method, jobs);
       }
     }
   }
   return out;
 }
 
-// The value of `"field": "..."` on `line`, or "" when absent.
-std::string quoted_field(const std::string& line, const std::string& field) {
-  const auto at = line.find("\"" + field + "\"");
-  if (at == std::string::npos) return {};
-  const auto open = line.find('"', line.find(':', at) + 1);
-  const auto close = line.find('"', open + 1);
-  return line.substr(open + 1, close - open - 1);
+std::string score_hash(std::span<const double> scores) {
+  std::uint64_t h = fnv1a(kFnvBasis, scores.size());
+  for (const double s : scores) h = fnv1a(h, bits_of(s));
+  return hex64(h);
 }
 
-// One entry per line: "<key>": {"flag_hash": "...", "f1_bits": "...", ...}.
-std::map<std::string, Fingerprint> read_golden(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::map<std::string, Fingerprint> out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("\"flag_hash\"") == std::string::npos) continue;
-    const auto open = line.find('"');
-    const auto close = line.find('"', open + 1);
-    out[line.substr(open + 1, close - open - 1)] = {
-        quoted_field(line, "flag_hash"), quoted_field(line, "f1_bits"), 0.0};
+using DetectorFactory = std::function<std::unique_ptr<outlier::Detector>()>;
+
+template <typename D>
+std::pair<std::string, DetectorFactory> detector() {
+  return {D().name(), [] { return std::make_unique<D>(); }};
+}
+
+Entries compute_scores() {
+  using namespace outlier;  // NOLINT(google-build-using-namespace)
+  const std::vector<std::pair<std::string, DetectorFactory>> all = {
+      detector<AbodDetector>(),  detector<CblofDetector>(),
+      detector<HbosDetector>(),  detector<IForestDetector>(),
+      detector<KnnDetector>(),   detector<LofDetector>(),
+      detector<McdDetector>(),   detector<OcsvmDetector>(),
+      detector<PcaDetector>(),   detector<SosDetector>(),
+      detector<LscpDetector>(),  detector<CofDetector>(),
+      detector<SodDetector>(),
+  };
+  // Degenerate shapes only for the detectors built on shared neighbour
+  // lists, pairwise affinities or robust covariance; the others are not
+  // defined on every shape (PCA rejects zero-variance data).
+  const std::vector<std::string> degenerate_ok = {"KNN", "LOF", "MCD",
+                                                  "SOS", "LSCP", "SOD"};
+
+  auto shapes = shapes::checkpoint_snapshots();
+  shapes.push_back(shapes::tie_heavy());
+  const std::size_t regular = shapes.size();
+  for (auto& s : shapes::degenerate_shapes()) shapes.push_back(std::move(s));
+
+  Entries out;
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    const auto& shape = shapes[s];
+    for (const auto& [name, make] : all) {
+      if (s >= regular && std::find(degenerate_ok.begin(), degenerate_ok.end(),
+                                    name) == degenerate_ok.end()) {
+        continue;
+      }
+      auto det = make();
+      det->fit(shape.x);
+      out["scores/" + name + "/" + shape.name] = {
+          {"score_hash", score_hash(det->scores())}};
+    }
+    XgbodDetector xgbod;
+    xgbod.fit(shape.x, shape.labels);
+    out["scores/XGBOD/" + shape.name] = {
+        {"score_hash", score_hash(xgbod.scores())}};
   }
   return out;
 }
 
-void write_golden(const std::string& path,
-                  const std::map<std::string, Fingerprint>& entries) {
+// Every `"field": "value"` pair on `line` after position `from`.
+Entry quoted_fields(const std::string& line, std::size_t from) {
+  Entry out;
+  std::size_t at = from;
+  while (true) {
+    const auto k_open = line.find('"', at);
+    if (k_open == std::string::npos) break;
+    const auto k_close = line.find('"', k_open + 1);
+    const auto colon = line.find(':', k_close);
+    const auto v_open = line.find_first_not_of(' ', colon + 1);
+    if (v_open == std::string::npos || line[v_open] != '"') {
+      // Unquoted (informational) value: skip to the next field.
+      at = line.find(',', colon);
+      if (at == std::string::npos) break;
+      continue;
+    }
+    const auto v_close = line.find('"', v_open + 1);
+    out[line.substr(k_open + 1, k_close - k_open - 1)] =
+        line.substr(v_open + 1, v_close - v_open - 1);
+    at = v_close + 1;
+  }
+  return out;
+}
+
+// One entry per line: "<key>": {"<field>": "<hex>", ...}.
+Entries read_golden(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  Entries out;
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto brace = line.find('{');
+    if (brace == std::string::npos || line.find("_hash\"") == std::string::npos)
+      continue;
+    const auto open = line.find('"');
+    const auto close = line.find('"', open + 1);
+    out[line.substr(open + 1, close - open - 1)] = quoted_fields(line, brace);
+  }
+  return out;
+}
+
+void write_golden(const std::string& path, const Entries& entries) {
   std::ofstream out(path);
   ASSERT_TRUE(out.good()) << "cannot write " << path;
-  out << "{\n  \"backend\": \"reference\",\n  \"jobs_per_dataset\": "
-      << kJobsPerDataset << ",\n  \"entries\": {\n";
+  out << "{\n  \"backend\": \"reference\",\n  \"entries\": {\n";
   std::size_t i = 0;
-  for (const auto& [key, fp] : entries) {
-    char f1[32];
-    std::snprintf(f1, sizeof(f1), "%.17g", fp.f1);
-    out << "    \"" << key << "\": {\"flag_hash\": \"" << fp.flag_hash
-        << "\", \"f1_bits\": \"" << fp.f1_bits << "\", \"f1\": " << f1 << "}"
-        << (++i < entries.size() ? "," : "") << "\n";
+  for (const auto& [key, fields] : entries) {
+    out << "    \"" << key << "\": {";
+    std::size_t f = 0;
+    for (const auto& [field, value] : fields) {
+      out << (f++ > 0 ? ", " : "") << "\"" << field << "\": \"" << value
+          << "\"";
+    }
+    out << "}" << (++i < entries.size() ? "," : "") << "\n";
   }
   out << "  }\n}\n";
 }
 
-TEST(Fingerprints, MatchGolden) {
-  // Read before compute_all starts the pool's worker threads.
-  const char* regen =
-      std::getenv("NURD_REGEN_FINGERPRINTS");  // NOLINT(concurrency-mt-unsafe)
-  const auto actual = compute_all();
-  ASSERT_EQ(actual.size(), 2u * 2u * std::size(kMethods));
-
-  if (regen != nullptr && std::string(regen) == "1") {
-    write_golden(golden_path(), actual);
-    GTEST_SKIP() << "regenerated " << golden_path();
+// Compares `actual` against the golden file, or rewrites the file when
+// NURD_REGEN_FINGERPRINTS=1 (read by the caller before any worker starts).
+void check_golden(const char* file, const Entries& actual, bool regen) {
+  const auto path = golden_path(file);
+  if (regen) {
+    write_golden(path, actual);
+    GTEST_SKIP() << "regenerated " << path;
   }
-
-  const auto golden = read_golden(golden_path());
+  const auto golden = read_golden(path);
   EXPECT_EQ(golden.size(), actual.size());
-  for (const auto& [key, fp] : actual) {
+  for (const auto& [key, fields] : actual) {
     const auto it = golden.find(key);
     ASSERT_NE(it, golden.end()) << "no golden entry for " << key;
-    EXPECT_EQ(it->second.flag_hash, fp.flag_hash) << key << " flag sets moved";
-    EXPECT_EQ(it->second.f1_bits, fp.f1_bits)
-        << key << " macro-F1 moved (now " << fp.f1 << ")";
+    for (const auto& [field, value] : fields) {
+      const auto f = it->second.find(field);
+      ASSERT_NE(f, it->second.end()) << key << " has no golden " << field;
+      EXPECT_EQ(f->second, value) << key << " " << field << " moved";
+    }
   }
+}
+
+bool regen_requested() {
+  const char* regen =
+      std::getenv("NURD_REGEN_FINGERPRINTS");  // NOLINT(concurrency-mt-unsafe)
+  return regen != nullptr && std::string(regen) == "1";
+}
+
+TEST(Fingerprints, MatchGolden) {
+  // Read before compute_methods starts the pool's worker threads.
+  const bool regen = regen_requested();
+  const auto actual = compute_methods();
+  ASSERT_EQ(actual.size(), 2u * 2u * core::all_predictors().size());
+  check_golden("fingerprints.json", actual, regen);
+}
+
+TEST(Fingerprints, DetectorScoreBits) {
+  const bool regen = regen_requested();
+  const auto actual = compute_scores();
+  // 14 detectors × 5 regular shapes + 7 × 4 degenerate shapes.
+  ASSERT_EQ(actual.size(), 14u * 5u + 7u * 4u);
+  check_golden("detector_scores.json", actual, regen);
 }
 
 }  // namespace

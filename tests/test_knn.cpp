@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+
+#include "common/rng.h"
 
 namespace nurd {
 namespace {
@@ -59,6 +62,50 @@ TEST(KnnIndex, QueryDimensionMismatchThrows) {
   KnnIndex index(line_points());
   const std::vector<double> q{1.0, 2.0};
   EXPECT_THROW(index.query(q, 1), std::invalid_argument);
+}
+
+// The neighbour-sharing detectors (LSCP, XGBOD) query once at the largest k
+// and read every smaller k-list as a prefix; ties broken by index make that
+// exact.
+void expect_prefix_lists(const Matrix& pts, std::size_t big_k) {
+  KnnIndex index(pts);
+  for (std::size_t i = 0; i < pts.rows(); ++i) {
+    const auto all = index.neighbors_of(i, big_k);
+    for (std::size_t k = 1; k <= big_k; ++k) {
+      const auto some = index.neighbors_of(i, k);
+      ASSERT_EQ(some.size(), std::min(k, all.size())) << "i=" << i;
+      for (std::size_t r = 0; r < some.size(); ++r) {
+        EXPECT_EQ(some[r].index, all[r].index) << "i=" << i << " k=" << k;
+        EXPECT_EQ(some[r].distance, all[r].distance);
+      }
+    }
+  }
+}
+
+TEST(KnnIndex, SmallerKIsPrefixOfLargerK) {
+  Rng rng(11);
+  Matrix pts(40, 3);
+  for (std::size_t i = 0; i < 40; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) pts(i, j) = rng.normal();
+  }
+  expect_prefix_lists(pts, 12);
+}
+
+TEST(KnnIndex, PrefixHoldsUnderTiedDistances) {
+  // Every row appears three times and the grid spacing ties many distances.
+  Matrix pts(0, 0);
+  for (int rep = 0; rep < 3; ++rep) {
+    for (int a = 0; a < 4; ++a) {
+      const std::vector<double> row{static_cast<double>(a), 1.0};
+      pts.push_row(row);
+    }
+  }
+  expect_prefix_lists(pts, 11);
+}
+
+TEST(KnnIndex, PrefixHoldsWhenKClampsAtNMinusOne) {
+  const Matrix pts = line_points();
+  expect_prefix_lists(pts, 10);  // clamps to n - 1 = 3
 }
 
 TEST(PairwiseDistances, SymmetricZeroDiagonal) {

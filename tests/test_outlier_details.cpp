@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "outlier/density_detectors.h"
+#include "outlier/ensemble_detectors.h"
 #include "outlier/knn_detectors.h"
 #include "outlier/statistical_detectors.h"
+#include "outlier/subspace_detectors.h"
+#include "outlier_shapes.h"
 
 namespace nurd::outlier {
 namespace {
@@ -170,6 +176,43 @@ TEST(SosDetail, PerplexityBoundsRespected) {
     EXPECT_GE(s, 0.0);
     EXPECT_LE(s, 1.0);
   }
+}
+
+void expect_finite_scores(const std::string& what, std::size_t n,
+                          const std::vector<double>& scores) {
+  ASSERT_EQ(scores.size(), n) << what;
+  for (double s : scores) EXPECT_TRUE(std::isfinite(s)) << what;
+}
+
+TEST(DegenerateShapes, NeighbourAndCovarianceDetectorsStayFinite) {
+  // n = 3, n = 20 (LSCP's region and largest k clamp to n − 1), identical
+  // rows (LOF's infinite-lrd path) and a constant column. Their score bits
+  // are pinned in tests/golden/detector_scores.json.
+  for (const auto& shape : shapes::degenerate_shapes()) {
+    const std::size_t n = shape.x.rows();
+    std::vector<std::unique_ptr<Detector>> dets;
+    dets.push_back(std::make_unique<LscpDetector>());
+    dets.push_back(std::make_unique<SodDetector>());
+    dets.push_back(std::make_unique<McdDetector>());
+    dets.push_back(std::make_unique<SosDetector>());
+    dets.push_back(std::make_unique<KnnDetector>());
+    dets.push_back(std::make_unique<LofDetector>());
+    for (auto& det : dets) {
+      const std::string what = det->name() + " on " + shape.name;
+      ASSERT_NO_THROW(det->fit(shape.x)) << what;
+      expect_finite_scores(what, n, det->scores());
+    }
+    XgbodDetector xgbod;
+    ASSERT_NO_THROW(xgbod.fit(shape.x, shape.labels)) << shape.name;
+    expect_finite_scores("XGBOD on " + shape.name, n, xgbod.scores());
+  }
+}
+
+TEST(DegenerateShapes, IdenticalRowsAreAllInliersForLof) {
+  const Matrix x(25, 3, 1.5);
+  LofDetector det(10);
+  det.fit(x);
+  for (double s : det.scores()) EXPECT_EQ(s, 1.0);
 }
 
 }  // namespace
