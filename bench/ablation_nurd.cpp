@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   const auto n_jobs =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "jobs", 24));
   const auto which = bench::arg_string(argc, argv, "dataset", "google");
+  bench::reject_unknown_args(argc, argv);
   const auto dataset = which == "alibaba" ? bench::Dataset::kAlibaba
                                           : bench::Dataset::kGoogle;
   const auto jobs = bench::make_jobs(dataset, n_jobs);

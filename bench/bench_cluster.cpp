@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
   const auto which = bench::arg_string(argc, argv, "dataset", "google");
   const auto method_name = bench::arg_string(argc, argv, "method", "NURD");
   const auto json_path = bench::arg_string(argc, argv, "json", "");
+  bench::reject_unknown_args(argc, argv);
   const auto dataset =
       which == "alibaba" ? bench::Dataset::kAlibaba : bench::Dataset::kGoogle;
 

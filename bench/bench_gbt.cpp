@@ -69,6 +69,7 @@ int main(int argc, char** argv) {
   const auto eval_method =
       bench::arg_string(argc, argv, "eval-method", "NURD");
   const bool skip_eval = bench::arg_long(argc, argv, "skip-eval", 0) != 0;
+  bench::reject_unknown_args(argc, argv);
 
   // Synthetic regression task: nonlinear, every feature informative enough
   // that trees keep splitting to the depth cap.

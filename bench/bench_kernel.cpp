@@ -113,6 +113,7 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(bench::arg_long(argc, argv, "reps", 200));
   const auto cols =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "cols", 16));
+  bench::reject_unknown_args(argc, argv);
 
   Workset w;
   w.n = n;

@@ -115,6 +115,7 @@ int main(int argc, char** argv) {
       bench::split_csv(bench::arg_string(argc, argv, "methods",
                                   "NURD,NURD-NC,GBTR,Grabit"));
   const auto json_path = bench::arg_string(argc, argv, "json", "");
+  bench::reject_unknown_args(argc, argv);
 
   std::vector<bench::Dataset> datasets;
   if (which == "google" || which == "both") {

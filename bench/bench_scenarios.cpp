@@ -81,6 +81,7 @@ int main(int argc, char** argv) {
       scenario_names = bench::split_csv(flag);
     }
   }
+  bench::reject_unknown_args(argc, argv);
 
   std::vector<bench::Dataset> datasets;
   for (const auto& name : dataset_names) {

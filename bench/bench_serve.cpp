@@ -89,6 +89,7 @@ int main(int argc, char** argv) {
   const auto seed =
       static_cast<std::uint64_t>(bench::arg_long(argc, argv, "seed", 0));
   const auto json_path = bench::arg_string(argc, argv, "json", "");
+  bench::reject_unknown_args(argc, argv);
 
   if (check && shed_budget > 0) {
     std::fprintf(stderr,

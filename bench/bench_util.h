@@ -12,6 +12,7 @@
 // error.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -102,14 +103,28 @@ inline std::vector<trace::Job> make_jobs(Dataset d, std::size_t count,
   return gen.generate(count);
 }
 
-/// Reads "--name=value" from argv; returns fallback when absent.
+namespace detail {
+/// Every flag name an arg_* helper was asked for, for reject_unknown_args.
+inline std::vector<std::string>& queried_flags() {
+  static std::vector<std::string> names;
+  return names;
+}
+}  // namespace detail
+
+/// Reads "--name=value" from argv; returns fallback when absent. A bare
+/// "--name" without "=value" is an error: the process exits 2 naming it.
 inline std::string arg_string(int argc, char** argv, std::string_view name,
                               std::string fallback) {
-  const std::string prefix = "--" + std::string(name) + "=";
+  detail::queried_flags().emplace_back(name);
+  const std::string flag = "--" + std::string(name);
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
-    if (arg.starts_with(prefix)) {
-      return std::string(arg.substr(prefix.size()));
+    if (arg == flag) {
+      std::fprintf(stderr, "%s needs a value: %s=<value>\n", argv[i], argv[i]);
+      std::exit(2);
+    }
+    if (arg.starts_with(flag + "=")) {
+      return std::string(arg.substr(flag.size() + 1));
     }
   }
   return fallback;
@@ -120,6 +135,22 @@ inline long arg_long(int argc, char** argv, std::string_view name,
                      long fallback) {
   const auto s = arg_string(argc, argv, name, "");
   return s.empty() ? fallback : std::strtol(s.c_str(), nullptr, 10);
+}
+
+/// Call after the last arg_* read: exits 2 naming the first argument that
+/// is not "--name[=value]" for a flag the bench asked for, so a misspelled
+/// or removed option cannot run as if it were absent.
+inline void reject_unknown_args(int argc, char** argv) {
+  const auto& known = detail::queried_flags();
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    const auto name = arg.substr(0, arg.find('='));
+    if (!name.starts_with("--") ||
+        std::find(known.begin(), known.end(), name.substr(2)) == known.end()) {
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      std::exit(2);
+    }
+  }
 }
 
 /// Tiny streaming JSON emitter for the benches' machine-readable outputs

@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   using namespace nurd;
   const auto bins =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "bins", 20));
+  bench::reject_unknown_args(argc, argv);
 
   auto config = trace::GoogleLikeGenerator::google_defaults();
   trace::GoogleLikeGenerator generator(config);

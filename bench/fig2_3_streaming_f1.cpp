@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   const auto n_jobs =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "jobs", 40));
   const auto which = bench::arg_string(argc, argv, "dataset", "both");
+  bench::reject_unknown_args(argc, argv);
 
   std::vector<bench::Dataset> datasets;
   if (which == "google" || which == "both") {

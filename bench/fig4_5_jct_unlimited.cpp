@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const auto which = bench::arg_string(argc, argv, "dataset", "both");
   const auto seed =
       static_cast<std::uint64_t>(bench::arg_long(argc, argv, "seed", 99));
+  bench::reject_unknown_args(argc, argv);
 
   std::vector<bench::Dataset> datasets;
   if (which == "google" || which == "both") {

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(bench::arg_long(argc, argv, "seed", 99));
   const auto reps =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "reps", 5));
+  bench::reject_unknown_args(argc, argv);
   // Spare-machine pool sizes. The paper sweeps 100..1000 against jobs of
   // 100..9999 tasks; our jobs have 100..400 tasks, so the same *relative*
   // sweep is 10..120 spares (we also print the paper's absolute axis).

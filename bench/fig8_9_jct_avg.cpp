@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(bench::arg_long(argc, argv, "seed", 99));
   const auto reps =
       static_cast<std::size_t>(bench::arg_long(argc, argv, "reps", 5));
+  bench::reject_unknown_args(argc, argv);
   const std::vector<std::size_t> machine_counts{10, 20, 30, 40, 50,
                                                 60, 80, 100, 120};
 

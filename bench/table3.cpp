@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const auto seed_offset = static_cast<std::uint64_t>(
       bench::arg_long(argc, argv, "seed-offset", 0));
   const auto which = bench::arg_string(argc, argv, "dataset", "both");
+  bench::reject_unknown_args(argc, argv);
 
   std::vector<bench::Dataset> datasets;
   if (which == "google" || which == "both") {

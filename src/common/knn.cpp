@@ -44,17 +44,11 @@ std::vector<Neighbor> KnnIndex::neighbors_of(std::size_t i,
   return query(points_.row(i), k, i);
 }
 
-Matrix pairwise_distances(const Matrix& points) {
-  const std::size_t n = points.rows();
-  Matrix d(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double dist = euclidean_distance(points.row(i), points.row(j));
-      d(i, j) = dist;
-      d(j, i) = dist;
-    }
-  }
-  return d;
+std::vector<std::vector<Neighbor>> KnnIndex::all_neighbors(
+    std::size_t k) const {
+  std::vector<std::vector<Neighbor>> out(points_.rows());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = neighbors_of(i, k);
+  return out;
 }
 
 }  // namespace nurd

@@ -1,5 +1,5 @@
 // Brute-force k-nearest-neighbour index. Shared by the ABOD, KNN, LOF, COF,
-// SOD, and LSCP detectors. O(n²) distance computation is deliberate: the
+// SOD, LSCP and XGBOD detectors. O(n²) distance computation is deliberate: the
 // per-checkpoint task counts this library sees (hundreds to a few thousand)
 // make a KD-tree unnecessary, and brute force is exact and branch-predictable.
 #pragma once
@@ -30,8 +30,13 @@ class KnnIndex {
   std::vector<Neighbor> query(std::span<const double> query, std::size_t k,
                               std::size_t exclude_self = kNoExclude) const;
 
-  /// k nearest neighbours of indexed row `i`, excluding itself.
+  /// k nearest neighbours of indexed row `i`, excluding itself. Distance
+  /// ties break by index, so the list for k is exactly the first k entries
+  /// of the list for any larger k.
   std::vector<Neighbor> neighbors_of(std::size_t i, std::size_t k) const;
+
+  /// neighbors_of(i, k) for every indexed row i, in row order.
+  std::vector<std::vector<Neighbor>> all_neighbors(std::size_t k) const;
 
   std::size_t size() const { return points_.rows(); }
   const Matrix& points() const { return points_; }
@@ -41,9 +46,5 @@ class KnnIndex {
  private:
   Matrix points_;
 };
-
-/// Full pairwise Euclidean distance matrix of the rows of `points`
-/// (symmetric, zero diagonal). Used by SOS and COF which need all pairs.
-Matrix pairwise_distances(const Matrix& points);
 
 }  // namespace nurd

@@ -158,11 +158,18 @@ Matrix covariance(const Matrix& x) {
 double mahalanobis_squared(std::span<const double> v,
                            std::span<const double> mean,
                            const Matrix& precision) {
+  std::vector<double> diff(v.size());
+  return mahalanobis_squared(v, mean, precision, diff);
+}
+
+double mahalanobis_squared(std::span<const double> v,
+                           std::span<const double> mean,
+                           const Matrix& precision, std::span<double> diff) {
   const std::size_t d = v.size();
-  NURD_CHECK(mean.size() == d && precision.rows() == d && precision.cols() == d,
+  NURD_CHECK(mean.size() == d && precision.rows() == d &&
+                 precision.cols() == d && diff.size() == d,
              "mahalanobis dimension mismatch");
   const auto& kops = kernel::ops();
-  std::vector<double> diff(d);
   kops.vsub(diff.data(), v.data(), mean.data(), d);
   double s = 0.0;
   for (std::size_t i = 0; i < d; ++i) {

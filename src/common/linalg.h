@@ -50,4 +50,10 @@ double mahalanobis_squared(std::span<const double> v,
                            std::span<const double> mean,
                            const Matrix& precision);
 
+/// The same, centring `v` into caller-owned scratch `diff` (size d) so a
+/// pass over many rows allocates nothing.
+double mahalanobis_squared(std::span<const double> v,
+                           std::span<const double> mean,
+                           const Matrix& precision, std::span<double> diff);
+
 }  // namespace nurd

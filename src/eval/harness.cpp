@@ -1,6 +1,7 @@
 #include "eval/harness.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 
 #include "common/check.h"
@@ -226,10 +227,17 @@ std::vector<JobRunResult> run_method(const core::NamedPredictor& method,
                                      std::span<const trace::Job> jobs,
                                      double pct, std::size_t threads) {
   std::vector<JobRunResult> out(jobs.size());
-  // Each job writes only its own slot; order-independent.
-  ThreadPool::run_indexed(jobs.size(), threads, [&](std::size_t i) {
+  // Lanes claim the largest jobs first (stable on ties), so the last lane
+  // to finish is not left holding a big job alone. Each job writes only its
+  // own slot; order-independent.
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+    return jobs[a].task_count() > jobs[b].task_count();
+  });
+  ThreadPool::run_indexed(jobs.size(), threads, [&](std::size_t r) {
     auto predictor = method.make();
-    out[i] = run_job(jobs[i], *predictor, pct);
+    out[order[r]] = run_job(jobs[order[r]], *predictor, pct);
   });
   return out;
 }

@@ -189,7 +189,9 @@ MethodResult aggregate_method(std::string name,
 
 /// Per-job run results for one method (used by the scheduler benches, which
 /// need flag times rather than aggregate rates). Same parallelism and
-/// determinism contract as evaluate_method; results are in job order.
+/// determinism contract as evaluate_method. Lanes claim jobs largest first
+/// (descending task_count(), stable on ties) to shorten the last lane;
+/// results are in job order.
 std::vector<JobRunResult> run_method(const core::NamedPredictor& method,
                                      std::span<const trace::Job> jobs,
                                      double pct = 90.0,

@@ -5,8 +5,8 @@
 
 #include "common/check.h"
 #include "common/histogram.h"
-#include "common/knn.h"
 #include "common/scaler.h"
+#include "kernel/kernel.h"
 
 namespace nurd::outlier {
 
@@ -29,23 +29,36 @@ void SosDetector::fit(const Matrix& x) {
   StandardScaler scaler;
   const Matrix xs = scaler.fit_transform(x);
   const std::size_t n = xs.rows();
-  const Matrix dist = pairwise_distances(xs);
+  const auto& kops = kernel::ops();
 
   // Per-point bandwidth beta_i (=1/2σ²) via binary search so that the
-  // affinity distribution has the requested perplexity.
+  // affinity distribution has the requested perplexity. One row at a time:
+  // row i's distances, then its binding probabilities b_ij, each folded into
+  // log_p[j] as the row finishes — the rows ascend, so every log_p[j] sums
+  // its terms in the same order a column walk of the full n×n binding matrix
+  // would.
   const double target_entropy = std::log2(std::min(
       perplexity_, static_cast<double>(n - 1)));
-  Matrix binding(n, n, 0.0);
+  std::vector<double> neg_sq(n), aff(n, 0.0), log_p(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    double beta = 1.0, beta_lo = 0.0, beta_hi = 1e12;
-    std::vector<double> aff(n, 0.0);
-    for (int iter = 0; iter < 64; ++iter) {
-      double sum = 0.0;
+    kops.squared_l2_rows(xs.flat().data(), n, xs.cols(), xs.row(i).data(),
+                         neg_sq.data());
+    for (auto& v : neg_sq) {
+      const double dist = std::sqrt(v);
+      v = -dist * dist;
+    }
+    double beta = 1.0, beta_lo = 0.0, beta_hi = 1e12, sum = 0.0;
+    bool converged = false;
+    const auto affinities = [&] {
+      sum = 0.0;
       for (std::size_t j = 0; j < n; ++j) {
         if (j == i) continue;
-        aff[j] = std::exp(-dist(i, j) * dist(i, j) * beta);
+        aff[j] = std::exp(neg_sq[j] * beta);
         sum += aff[j];
       }
+    };
+    for (int iter = 0; iter < 64; ++iter) {
+      affinities();
       if (sum <= 0.0) {
         beta_hi = beta;
         beta = 0.5 * (beta_lo + beta_hi);
@@ -57,7 +70,8 @@ void SosDetector::fit(const Matrix& x) {
         const double p = aff[j] / sum;
         if (p > 1e-12) entropy -= p * std::log2(p);
       }
-      if (std::abs(entropy - target_entropy) < 1e-5) break;
+      converged = std::abs(entropy - target_entropy) < 1e-5;
+      if (converged) break;
       if (entropy > target_entropy) {
         beta_lo = beta;
         beta = beta_hi >= 1e12 ? beta * 2.0 : 0.5 * (beta_lo + beta_hi);
@@ -66,28 +80,17 @@ void SosDetector::fit(const Matrix& x) {
         beta = 0.5 * (beta_lo + beta_hi);
       }
     }
-    double sum = 0.0;
+    // A converged search left aff and sum at the final beta already.
+    if (!converged) affinities();
+    // Outlier probability of j: product over rows i ≠ j of (1 − b_ij).
     for (std::size_t j = 0; j < n; ++j) {
       if (j == i) continue;
-      aff[j] = std::exp(-dist(i, j) * dist(i, j) * beta);
-      sum += aff[j];
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i || sum <= 0.0) continue;
-      binding(i, j) = aff[j] / sum;
+      const double b = sum <= 0.0 ? 0.0 : aff[j] / sum;
+      log_p[j] += std::log(std::clamp(1.0 - b, 1e-12, 1.0));
     }
   }
-
-  // Outlier probability: product over all other points of (1 − b_ji).
-  scores_.assign(n, 1.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double log_p = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      log_p += std::log(std::clamp(1.0 - binding(j, i), 1e-12, 1.0));
-    }
-    scores_[i] = std::exp(log_p);
-  }
+  scores_.resize(n);
+  for (std::size_t j = 0; j < n; ++j) scores_[j] = std::exp(log_p[j]);
 }
 
 }  // namespace nurd::outlier

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/knn.h"
-#include "common/scaler.h"
 #include "common/stats.h"
 #include "outlier/density_detectors.h"
 #include "outlier/iforest.h"
@@ -15,21 +14,26 @@ namespace nurd::outlier {
 
 void LscpDetector::fit(const Matrix& x) {
   NURD_CHECK(x.rows() >= 3, "LSCP needs at least three points");
+  NURD_CHECK(!params_.lof_ks.empty() || !params_.knn_ks.empty(),
+             "LSCP needs at least one base detector");
   const std::size_t n = x.rows();
+
+  // One neighbour query at the largest k the pool or the local region asks
+  // for; every base detector and the region read prefixes of these lists.
+  const std::size_t region = std::min(params_.local_region, n - 1);
+  std::size_t kmax = region;
+  for (std::size_t k : params_.lof_ks) kmax = std::max(kmax, clamp_k(k, n));
+  for (std::size_t k : params_.knn_ks) kmax = std::max(kmax, clamp_k(k, n));
+  const NeighborLists nbrs = KnnIndex(standardized(x)).all_neighbors(kmax);
 
   // Fit the base pool; z-score each detector's scores so they are comparable.
   std::vector<std::vector<double>> base;
   for (std::size_t k : params_.lof_ks) {
-    LofDetector lof(k);
-    lof.fit(x);
-    base.push_back(zscore(lof.scores()));
+    base.push_back(zscore(lof_scores(nbrs, clamp_k(k, n))));
   }
   for (std::size_t k : params_.knn_ks) {
-    KnnDetector knn(k);
-    knn.fit(x);
-    base.push_back(zscore(knn.scores()));
+    base.push_back(zscore(knn_scores(nbrs, clamp_k(k, n))));
   }
-  NURD_CHECK(!base.empty(), "LSCP needs at least one base detector");
 
   // Pseudo ground truth: per-point mean of normalized base scores.
   std::vector<double> consensus(n, 0.0);
@@ -38,29 +42,20 @@ void LscpDetector::fit(const Matrix& x) {
   }
   for (auto& c : consensus) c /= static_cast<double>(base.size());
 
-  StandardScaler scaler;
-  const Matrix xs = scaler.fit_transform(x);
-  KnnIndex index(xs);
-  const std::size_t region =
-      std::min(params_.local_region, n - 1);
-
   scores_.assign(n, 0.0);
   std::vector<double> local_truth(region), local_scores(region);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto nbrs = index.neighbors_of(i, region);
-    for (std::size_t r = 0; r < nbrs.size(); ++r) {
-      local_truth[r] = consensus[nbrs[r].index];
+    for (std::size_t r = 0; r < region; ++r) {
+      local_truth[r] = consensus[nbrs[i][r].index];
     }
     // Select the detector most correlated with the consensus locally.
     double best_corr = -2.0;
     std::size_t best_d = 0;
     for (std::size_t dix = 0; dix < base.size(); ++dix) {
-      for (std::size_t r = 0; r < nbrs.size(); ++r) {
-        local_scores[r] = base[dix][nbrs[r].index];
+      for (std::size_t r = 0; r < region; ++r) {
+        local_scores[r] = base[dix][nbrs[i][r].index];
       }
-      const double corr =
-          pearson(std::span(local_truth).first(nbrs.size()),
-                  std::span(local_scores).first(nbrs.size()));
+      const double corr = pearson(local_truth, local_scores);
       if (corr > best_corr) {
         best_corr = corr;
         best_d = dix;
@@ -77,18 +72,13 @@ void XgbodDetector::fit(const Matrix& x, std::span<const double> y) {
   NURD_CHECK(x.rows() >= 3, "XGBOD needs at least three points");
   const std::size_t n = x.rows();
 
-  // Transformed outlier scores from a small unsupervised pool.
+  // Transformed outlier scores from a small unsupervised pool; KNN and LOF
+  // share one set of neighbour lists.
   std::vector<std::vector<double>> tos;
-  {
-    KnnDetector knn(params_.knn_k);
-    knn.fit(x);
-    tos.push_back(minmax_normalize(knn.scores()));
-  }
-  {
-    LofDetector lof(params_.knn_k);
-    lof.fit(x);
-    tos.push_back(minmax_normalize(lof.scores()));
-  }
+  const std::size_t k = clamp_k(params_.knn_k, n);
+  const NeighborLists nbrs = KnnIndex(standardized(x)).all_neighbors(k);
+  tos.push_back(minmax_normalize(knn_scores(nbrs, k)));
+  tos.push_back(minmax_normalize(lof_scores(nbrs, k)));
   {
     HbosDetector hbos;
     hbos.fit(x);

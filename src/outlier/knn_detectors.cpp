@@ -5,11 +5,8 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/stats.h"
 
 namespace nurd::outlier {
-
-namespace {
 
 // All four detectors standardize features: they are distance/angle based and
 // the trace features have wildly different native scales.
@@ -23,61 +20,54 @@ std::size_t clamp_k(std::size_t k, std::size_t n) {
   return std::max<std::size_t>(1, std::min(k, n > 1 ? n - 1 : 1));
 }
 
-}  // namespace
-
-void KnnDetector::fit(const Matrix& x) {
-  NURD_CHECK(x.rows() >= 2, "KNN needs at least two points");
-  const Matrix xs = standardized(x);
-  const std::size_t k = clamp_k(k_, xs.rows());
-  KnnIndex index(xs);
-  scores_.assign(xs.rows(), 0.0);
-  for (std::size_t i = 0; i < xs.rows(); ++i) {
-    const auto nb = index.neighbors_of(i, k);
-    scores_[i] = nb.back().distance;  // k-th neighbour distance
+std::vector<double> knn_scores(const NeighborLists& nbrs, std::size_t k) {
+  std::vector<double> scores(nbrs.size());
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    scores[i] = nbrs[i][k - 1].distance;  // k-th neighbour distance
   }
+  return scores;
 }
 
-void LofDetector::fit(const Matrix& x) {
-  NURD_CHECK(x.rows() >= 2, "LOF needs at least two points");
-  const Matrix xs = standardized(x);
-  const std::size_t n = xs.rows();
-  const std::size_t k = clamp_k(k_, n);
-  KnnIndex index(xs);
-
-  std::vector<std::vector<Neighbor>> nbrs(n);
+std::vector<double> lof_scores(const NeighborLists& nbrs, std::size_t k) {
+  const std::size_t n = nbrs.size();
   std::vector<double> k_dist(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    nbrs[i] = index.neighbors_of(i, k);
-    k_dist[i] = nbrs[i].back().distance;
-  }
+  for (std::size_t i = 0; i < n; ++i) k_dist[i] = nbrs[i][k - 1].distance;
 
   // Local reachability density: inverse mean reachability distance.
   std::vector<double> lrd(n);
   for (std::size_t i = 0; i < n; ++i) {
     double sum_reach = 0.0;
-    for (const auto& nb : nbrs[i]) {
-      sum_reach += std::max(k_dist[nb.index], nb.distance);
+    for (std::size_t r = 0; r < k; ++r) {
+      sum_reach += std::max(k_dist[nbrs[i][r].index], nbrs[i][r].distance);
     }
-    lrd[i] = sum_reach > 0.0
-                 ? static_cast<double>(nbrs[i].size()) / sum_reach
-                 : std::numeric_limits<double>::infinity();
+    lrd[i] = sum_reach > 0.0 ? static_cast<double>(k) / sum_reach
+                             : std::numeric_limits<double>::infinity();
   }
 
-  scores_.assign(n, 1.0);
+  std::vector<double> scores(n, 1.0);
   for (std::size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(lrd[i])) {
-      scores_[i] = 1.0;  // duplicate-dense point: inlier by construction
-      continue;
-    }
+    // A non-finite lrd is a duplicate-dense point: inlier by construction.
+    if (!std::isfinite(lrd[i])) continue;
     double sum_ratio = 0.0;
-    for (const auto& nb : nbrs[i]) {
-      const double r = std::isfinite(lrd[nb.index])
-                           ? lrd[nb.index] / lrd[i]
-                           : 1.0;
-      sum_ratio += r;
+    for (std::size_t r = 0; r < k; ++r) {
+      const double l = lrd[nbrs[i][r].index];
+      sum_ratio += std::isfinite(l) ? l / lrd[i] : 1.0;
     }
-    scores_[i] = sum_ratio / static_cast<double>(nbrs[i].size());
+    scores[i] = sum_ratio / static_cast<double>(k);
   }
+  return scores;
+}
+
+void KnnDetector::fit(const Matrix& x) {
+  NURD_CHECK(x.rows() >= 2, "KNN needs at least two points");
+  const std::size_t k = clamp_k(k_, x.rows());
+  scores_ = knn_scores(KnnIndex(standardized(x)).all_neighbors(k), k);
+}
+
+void LofDetector::fit(const Matrix& x) {
+  NURD_CHECK(x.rows() >= 2, "LOF needs at least two points");
+  const std::size_t k = clamp_k(k_, x.rows());
+  scores_ = lof_scores(KnnIndex(standardized(x)).all_neighbors(k), k);
 }
 
 void CofDetector::fit(const Matrix& x) {
@@ -85,15 +75,13 @@ void CofDetector::fit(const Matrix& x) {
   const Matrix xs = standardized(x);
   const std::size_t n = xs.rows();
   const std::size_t k = clamp_k(k_, n);
-  KnnIndex index(xs);
+  const auto nbrs = KnnIndex(xs).all_neighbors(k);
 
   // Average chaining distance of each point over its set-based nearest path
   // through its k-neighbourhood (Tang et al. 2002, eq. 5): the i-th edge of
   // the SBN path gets weight 2(k+1−i)/(k(k+1)).
   std::vector<double> ac_dist(n, 0.0);
-  std::vector<std::vector<Neighbor>> nbrs(n);
   for (std::size_t p = 0; p < n; ++p) {
-    nbrs[p] = index.neighbors_of(p, k);
     // Greedy SBN trail: start at p, repeatedly connect the unvisited
     // neighbour closest to ANY visited vertex.
     std::vector<std::size_t> visited{p};

@@ -14,6 +14,23 @@
 
 namespace nurd::outlier {
 
+/// Every row's neighbour list, each ascending by (distance, index): the
+/// first k entries of a list are its k-list for any smaller k, so one query
+/// at the largest k serves every detector of an ensemble.
+using NeighborLists = std::vector<std::vector<Neighbor>>;
+
+/// The z-scored features the neighbourhood detectors all work on.
+Matrix standardized(const Matrix& x);
+
+/// k clamped to [1, n − 1].
+std::size_t clamp_k(std::size_t k, std::size_t n);
+
+/// KNN scores from the first k entries of every list (each holds ≥ k).
+std::vector<double> knn_scores(const NeighborLists& nbrs, std::size_t k);
+
+/// LOF scores from the first k entries of every list (each holds ≥ k).
+std::vector<double> lof_scores(const NeighborLists& nbrs, std::size_t k);
+
 /// k-th-nearest-neighbour distance detector ("largest" variant).
 class KnnDetector final : public Detector {
  public:

@@ -9,7 +9,6 @@
 #include "common/linalg.h"
 #include "common/rng.h"
 #include "common/scaler.h"
-#include "common/stats.h"
 
 namespace nurd::outlier {
 
@@ -31,20 +30,17 @@ MeanCov subset_mean_cov(const Matrix& x, std::span<const std::size_t> rows) {
   return mc;
 }
 
-std::vector<double> all_mahalanobis(const Matrix& x, const MeanCov& mc) {
+// Squared distances of every row of x under mc, into d2 (size n).
+void all_mahalanobis(const Matrix& x, const MeanCov& mc,
+                     std::vector<double>* d2) {
   auto precision = spd_inverse(mc.cov);
-  std::vector<double> d2(x.rows(), 0.0);
-  if (!precision) {
-    // Degenerate covariance: fall back to Euclidean distance from the mean.
-    for (std::size_t i = 0; i < x.rows(); ++i) {
-      d2[i] = squared_distance(x.row(i), mc.mean);
-    }
-    return d2;
-  }
+  std::vector<double> diff(x.cols());
   for (std::size_t i = 0; i < x.rows(); ++i) {
-    d2[i] = mahalanobis_squared(x.row(i), mc.mean, *precision);
+    // Degenerate covariance: fall back to Euclidean distance from the mean.
+    (*d2)[i] = precision ? mahalanobis_squared(x.row(i), mc.mean, *precision,
+                                               diff)
+                         : squared_distance(x.row(i), mc.mean);
   }
-  return d2;
 }
 
 double cov_logdet(const Matrix& cov) {
@@ -71,6 +67,14 @@ void McdDetector::fit(const Matrix& x) {
   Rng rng(params_.seed);
   double best_logdet = std::numeric_limits<double>::max();
   MeanCov best;
+  std::vector<double> d2(n);
+  std::vector<std::size_t> order(n);
+  // Smallest first under (distance, index): the first h rows of a stable
+  // argsort, without sorting the other n − h.
+  const auto closer = [&](std::size_t a, std::size_t b) {
+    return d2[a] < d2[b] || (d2[a] == d2[b] && a < b);
+  };
+  const auto h_end = order.begin() + static_cast<std::ptrdiff_t>(h);
 
   for (int trial = 0; trial < params_.n_initial_subsets; ++trial) {
     // Seed with a random (d+1)-subset, then concentrate.
@@ -78,9 +82,14 @@ void McdDetector::fit(const Matrix& x) {
         n, std::min<std::size_t>(d + 1, n));
     MeanCov mc = subset_mean_cov(xs, rows);
     for (int step = 0; step < params_.c_steps; ++step) {
-      const auto d2 = all_mahalanobis(xs, mc);
-      const auto order = argsort(d2);
-      rows.assign(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(h));
+      all_mahalanobis(xs, mc, &d2);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::nth_element(order.begin(), h_end, order.end(), closer);
+      std::sort(order.begin(), h_end, closer);
+      // Same subset in the same order: a fixed point, so every later step
+      // would recompute this exact MeanCov.
+      if (std::equal(order.begin(), h_end, rows.begin(), rows.end())) break;
+      rows.assign(order.begin(), h_end);
       mc = subset_mean_cov(xs, rows);
     }
     const double ld = cov_logdet(mc.cov);
@@ -97,8 +106,11 @@ void McdDetector::fit(const Matrix& x) {
     best = subset_mean_cov(xs, all);
   }
 
-  scores_ = all_mahalanobis(xs, best);
-  for (auto& s : scores_) s = std::sqrt(std::max(s, 0.0));
+  all_mahalanobis(xs, best, &d2);
+  scores_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scores_[i] = std::sqrt(std::max(d2[i], 0.0));
+  }
 }
 
 void PcaDetector::fit(const Matrix& x) {

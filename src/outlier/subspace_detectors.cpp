@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/check.h"
 #include "common/knn.h"
@@ -17,49 +18,43 @@ void SodDetector::fit(const Matrix& x) {
   const std::size_t d = xs.cols();
   const std::size_t k = std::min(params_.knn, n - 1);
   const std::size_t l = std::min(params_.ref_set, k);
-  KnnIndex index(xs);
+  const auto nbrs = KnnIndex(xs).all_neighbors(k);
 
-  // kNN lists for shared-nearest-neighbour similarity.
-  std::vector<std::vector<bool>> in_knn(n, std::vector<bool>(n, false));
-  std::vector<std::vector<Neighbor>> nbrs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    nbrs[i] = index.neighbors_of(i, k);
-    for (const auto& nb : nbrs[i]) in_knn[i][nb.index] = true;
+  // Reverse kNN lists: holders[m] = the rows whose kNN list holds m.
+  std::vector<std::vector<std::size_t>> holders(n);
+  for (std::size_t q = 0; q < n; ++q) {
+    for (const auto& nb : nbrs[q]) holders[nb.index].push_back(q);
   }
 
   scores_.assign(n, 0.0);
+  std::vector<std::size_t> snn(n), cand(n - 1);
   for (std::size_t p = 0; p < n; ++p) {
     // SNN similarity of p to every other point: |kNN(p) ∩ kNN(q)|.
-    std::vector<std::size_t> snn(n, 0);
-    for (std::size_t q = 0; q < n; ++q) {
-      if (q == p) continue;
-      std::size_t shared = 0;
-      for (const auto& nb : nbrs[p]) {
-        if (in_knn[q][nb.index]) ++shared;
-      }
-      snn[q] = shared;
+    std::fill(snn.begin(), snn.end(), std::size_t{0});
+    for (const auto& nb : nbrs[p]) {
+      for (auto q : holders[nb.index]) ++snn[q];
     }
-    // Reference set: the l points with highest SNN similarity.
-    std::vector<std::size_t> cand;
-    cand.reserve(n - 1);
-    for (std::size_t q = 0; q < n; ++q) {
-      if (q != p) cand.push_back(q);
+    // Reference set: the l points with highest SNN similarity, ties by
+    // ascending index.
+    for (std::size_t q = 0, c = 0; q < n; ++q) {
+      if (q != p) cand[c++] = q;
     }
-    std::stable_sort(cand.begin(), cand.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return snn[a] > snn[b];
-                     });
-    cand.resize(l);
+    std::partial_sort(
+        cand.begin(), cand.begin() + static_cast<std::ptrdiff_t>(l),
+        cand.end(), [&](std::size_t a, std::size_t b) {
+          return snn[a] > snn[b] || (snn[a] == snn[b] && a < b);
+        });
+    const auto ref = std::span(cand).first(l);
 
     // Per-dimension mean and variance of the reference set.
     std::vector<double> mu(d, 0.0), var(d, 0.0);
-    for (auto q : cand) {
+    for (auto q : ref) {
       auto row = xs.row(q);
       for (std::size_t j = 0; j < d; ++j) mu[j] += row[j];
     }
-    for (auto& m : mu) m /= static_cast<double>(cand.size());
+    for (auto& m : mu) m /= static_cast<double>(ref.size());
     double total_var = 0.0;
-    for (auto q : cand) {
+    for (auto q : ref) {
       auto row = xs.row(q);
       for (std::size_t j = 0; j < d; ++j) {
         const double diff = row[j] - mu[j];
@@ -67,7 +62,7 @@ void SodDetector::fit(const Matrix& x) {
       }
     }
     for (auto& v : var) {
-      v /= static_cast<double>(cand.size());
+      v /= static_cast<double>(ref.size());
       total_var += v;
     }
 

@@ -108,15 +108,5 @@ TEST(KnnIndex, PrefixHoldsWhenKClampsAtNMinusOne) {
   expect_prefix_lists(pts, 10);  // clamps to n - 1 = 3
 }
 
-TEST(PairwiseDistances, SymmetricZeroDiagonal) {
-  Matrix pts{{0.0, 0.0}, {3.0, 4.0}, {6.0, 8.0}};
-  const auto d = pairwise_distances(pts);
-  EXPECT_DOUBLE_EQ(d(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(d(1, 1), 0.0);
-  EXPECT_DOUBLE_EQ(d(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(d(1, 0), 5.0);
-  EXPECT_DOUBLE_EQ(d(0, 2), 10.0);
-}
-
 }  // namespace
 }  // namespace nurd
