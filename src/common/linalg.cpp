@@ -158,24 +158,25 @@ Matrix covariance(const Matrix& x) {
 double mahalanobis_squared(std::span<const double> v,
                            std::span<const double> mean,
                            const Matrix& precision) {
-  std::vector<double> diff(v.size());
-  return mahalanobis_squared(v, mean, precision, diff);
+  std::vector<double> scratch(2 * v.size());
+  return mahalanobis_squared(v, mean, precision, scratch);
 }
 
 double mahalanobis_squared(std::span<const double> v,
                            std::span<const double> mean,
-                           const Matrix& precision, std::span<double> diff) {
+                           const Matrix& precision,
+                           std::span<double> scratch) {
   const std::size_t d = v.size();
   NURD_CHECK(mean.size() == d && precision.rows() == d &&
-                 precision.cols() == d && diff.size() == d,
+                 precision.cols() == d && scratch.size() == 2 * d,
              "mahalanobis dimension mismatch");
   const auto& kops = kernel::ops();
-  kops.vsub(diff.data(), v.data(), mean.data(), d);
+  double* diff = scratch.data();
+  double* p_diff = diff + d;  // row i: P.row(i) · diff, summed from 0.0
+  kops.vsub(diff, v.data(), mean.data(), d);
+  kops.gemv(precision.row(0).data(), d, d, diff, 0.0, p_diff);
   double s = 0.0;
-  for (std::size_t i = 0; i < d; ++i) {
-    const double row = kops.dot(0.0, precision.row(i).data(), diff.data(), d);
-    s += diff[i] * row;
-  }
+  for (std::size_t i = 0; i < d; ++i) s += diff[i] * p_diff[i];
   return s;
 }
 

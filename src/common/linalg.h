@@ -50,10 +50,10 @@ double mahalanobis_squared(std::span<const double> v,
                            std::span<const double> mean,
                            const Matrix& precision);
 
-/// The same, centring `v` into caller-owned scratch `diff` (size d) so a
-/// pass over many rows allocates nothing.
+/// The same, over caller-owned `scratch` (size 2d) so a pass over many rows
+/// allocates nothing.
 double mahalanobis_squared(std::span<const double> v,
                            std::span<const double> mean,
-                           const Matrix& precision, std::span<double> diff);
+                           const Matrix& precision, std::span<double> scratch);
 
 }  // namespace nurd

@@ -29,7 +29,6 @@ void SosDetector::fit(const Matrix& x) {
   StandardScaler scaler;
   const Matrix xs = scaler.fit_transform(x);
   const std::size_t n = xs.rows();
-  const auto& kops = kernel::ops();
 
   // Per-point bandwidth beta_i (=1/2σ²) via binary search so that the
   // affinity distribution has the requested perplexity. One row at a time:
@@ -41,8 +40,8 @@ void SosDetector::fit(const Matrix& x) {
       perplexity_, static_cast<double>(n - 1)));
   std::vector<double> neg_sq(n), aff(n, 0.0), log_p(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    kops.squared_l2_rows(xs.flat().data(), n, xs.cols(), xs.row(i).data(),
-                         neg_sq.data());
+    kernel::ops().squared_l2_rows(xs.flat().data(), n, xs.cols(),
+                                  xs.row(i).data(), neg_sq.data());
     for (auto& v : neg_sq) {
       const double dist = std::sqrt(v);
       v = -dist * dist;

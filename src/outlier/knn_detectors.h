@@ -25,10 +25,8 @@ Matrix standardized(const Matrix& x);
 /// k clamped to [1, n − 1].
 std::size_t clamp_k(std::size_t k, std::size_t n);
 
-/// KNN scores from the first k entries of every list (each holds ≥ k).
+/// KNN and LOF scores from the first k entries of every list (each ≥ k).
 std::vector<double> knn_scores(const NeighborLists& nbrs, std::size_t k);
-
-/// LOF scores from the first k entries of every list (each holds ≥ k).
 std::vector<double> lof_scores(const NeighborLists& nbrs, std::size_t k);
 
 /// k-th-nearest-neighbour distance detector ("largest" variant).

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/check.h"
 #include "common/linalg.h"
@@ -30,16 +31,18 @@ MeanCov subset_mean_cov(const Matrix& x, std::span<const std::size_t> rows) {
   return mc;
 }
 
-// Squared distances of every row of x under mc, into d2 (size n).
-void all_mahalanobis(const Matrix& x, const MeanCov& mc,
-                     std::vector<double>* d2) {
+// (squared distance, row) of every row of x under mc, in row order; pairs
+// compare as a stable argsort of the distances would order them.
+using Keyed = std::vector<std::pair<double, std::size_t>>;
+void all_mahalanobis(const Matrix& x, const MeanCov& mc, Keyed* d2) {
   auto precision = spd_inverse(mc.cov);
-  std::vector<double> diff(x.cols());
+  std::vector<double> scratch(2 * x.cols());
   for (std::size_t i = 0; i < x.rows(); ++i) {
     // Degenerate covariance: fall back to Euclidean distance from the mean.
-    (*d2)[i] = precision ? mahalanobis_squared(x.row(i), mc.mean, *precision,
-                                               diff)
-                         : squared_distance(x.row(i), mc.mean);
+    (*d2)[i] = {precision ? mahalanobis_squared(x.row(i), mc.mean, *precision,
+                                                scratch)
+                          : squared_distance(x.row(i), mc.mean),
+                i};
   }
 }
 
@@ -67,14 +70,11 @@ void McdDetector::fit(const Matrix& x) {
   Rng rng(params_.seed);
   double best_logdet = std::numeric_limits<double>::max();
   MeanCov best;
-  std::vector<double> d2(n);
-  std::vector<std::size_t> order(n);
-  // Smallest first under (distance, index): the first h rows of a stable
-  // argsort, without sorting the other n − h.
-  const auto closer = [&](std::size_t a, std::size_t b) {
-    return d2[a] < d2[b] || (d2[a] == d2[b] && a < b);
+  Keyed d2(n);
+  const auto h_end = d2.begin() + static_cast<std::ptrdiff_t>(h);
+  const auto same_row = [](const auto& p, std::size_t r) {
+    return p.second == r;
   };
-  const auto h_end = order.begin() + static_cast<std::ptrdiff_t>(h);
 
   for (int trial = 0; trial < params_.n_initial_subsets; ++trial) {
     // Seed with a random (d+1)-subset, then concentrate.
@@ -82,14 +82,17 @@ void McdDetector::fit(const Matrix& x) {
         n, std::min<std::size_t>(d + 1, n));
     MeanCov mc = subset_mean_cov(xs, rows);
     for (int step = 0; step < params_.c_steps; ++step) {
+      // The h closest rows in order, without sorting the other n − h.
       all_mahalanobis(xs, mc, &d2);
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      std::nth_element(order.begin(), h_end, order.end(), closer);
-      std::sort(order.begin(), h_end, closer);
+      std::nth_element(d2.begin(), h_end, d2.end());
+      std::sort(d2.begin(), h_end);
       // Same subset in the same order: a fixed point, so every later step
       // would recompute this exact MeanCov.
-      if (std::equal(order.begin(), h_end, rows.begin(), rows.end())) break;
-      rows.assign(order.begin(), h_end);
+      if (std::equal(d2.begin(), h_end, rows.begin(), rows.end(), same_row)) {
+        break;
+      }
+      rows.resize(h);
+      for (std::size_t r = 0; r < h; ++r) rows[r] = d2[r].second;
       mc = subset_mean_cov(xs, rows);
     }
     const double ld = cov_logdet(mc.cov);
@@ -109,7 +112,7 @@ void McdDetector::fit(const Matrix& x) {
   all_mahalanobis(xs, best, &d2);
   scores_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    scores_[i] = std::sqrt(std::max(d2[i], 0.0));
+    scores_[i] = std::sqrt(std::max(d2[i].first, 0.0));
   }
 }
 
