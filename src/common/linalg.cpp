@@ -157,13 +157,6 @@ Matrix covariance(const Matrix& x) {
 
 double mahalanobis_squared(std::span<const double> v,
                            std::span<const double> mean,
-                           const Matrix& precision) {
-  std::vector<double> scratch(2 * v.size());
-  return mahalanobis_squared(v, mean, precision, scratch);
-}
-
-double mahalanobis_squared(std::span<const double> v,
-                           std::span<const double> mean,
                            const Matrix& precision,
                            std::span<double> scratch) {
   const std::size_t d = v.size();

@@ -45,13 +45,9 @@ EigenResult jacobi_eigen(const Matrix& a, int max_sweeps = 100);
 Matrix covariance(const Matrix& x);
 
 /// Mahalanobis squared distance of `v` from `mean` under precision matrix
-/// `precision` (the inverse covariance): (v−μ)ᵀ P (v−μ).
-double mahalanobis_squared(std::span<const double> v,
-                           std::span<const double> mean,
-                           const Matrix& precision);
-
-/// The same, over caller-owned `scratch` (size 2d) so a pass over many rows
-/// allocates nothing.
+/// `precision` (the inverse covariance): (v−μ)ᵀ P (v−μ). Works in
+/// caller-owned `scratch` (size 2d), so a pass over many rows allocates
+/// nothing.
 double mahalanobis_squared(std::span<const double> v,
                            std::span<const double> mean,
                            const Matrix& precision, std::span<double> scratch);

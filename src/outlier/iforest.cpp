@@ -21,7 +21,7 @@ std::int32_t IForestDetector::build(Tree& tree, const Matrix& x,
   const auto make_leaf = [&]() -> std::int32_t {
     Node leaf;
     leaf.is_leaf = true;
-    leaf.size = rows.size();
+    leaf.leaf_depth = average_path_length(rows.size());
     tree.nodes.push_back(leaf);
     return static_cast<std::int32_t>(tree.nodes.size() - 1);
   };
@@ -56,7 +56,6 @@ std::int32_t IForestDetector::build(Tree& tree, const Matrix& x,
   node.is_leaf = false;
   node.feature = feature;
   node.threshold = threshold;
-  node.size = rows.size();
   tree.nodes.push_back(node);
   const auto self = static_cast<std::int32_t>(tree.nodes.size() - 1);
   const auto left = build(tree, x, left_rows, depth + 1, max_depth, rng);
@@ -76,7 +75,7 @@ double IForestDetector::Tree::path_length(std::span<const double> row) const {
     depth += 1.0;
   }
   // Unresolved leaves contribute the expected remaining depth c(size).
-  return depth + average_path_length(nodes[i].size);
+  return depth + nodes[i].leaf_depth;
 }
 
 void IForestDetector::fit(const Matrix& x) {

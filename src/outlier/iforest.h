@@ -35,7 +35,7 @@ class IForestDetector final : public Detector {
  private:
   struct Node {
     bool is_leaf = true;
-    std::size_t size = 0;      // points reaching this leaf
+    double leaf_depth = 0.0;   // c(points reaching this leaf)
     std::size_t feature = 0;
     double threshold = 0.0;
     std::int32_t left = -1;

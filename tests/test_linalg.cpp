@@ -148,14 +148,16 @@ TEST(Mahalanobis, IdentityPrecisionIsEuclidean) {
   Matrix p{{1.0, 0.0}, {0.0, 1.0}};
   const std::vector<double> v{3.0, 4.0};
   const std::vector<double> mu{0.0, 0.0};
-  EXPECT_NEAR(mahalanobis_squared(v, mu, p), 25.0, 1e-12);
+  std::vector<double> scratch(4);
+  EXPECT_NEAR(mahalanobis_squared(v, mu, p, scratch), 25.0, 1e-12);
 }
 
 TEST(Mahalanobis, ScalesWithPrecision) {
   Matrix p{{4.0, 0.0}, {0.0, 1.0}};
   const std::vector<double> v{1.0, 0.0};
   const std::vector<double> mu{0.0, 0.0};
-  EXPECT_NEAR(mahalanobis_squared(v, mu, p), 4.0, 1e-12);
+  std::vector<double> scratch(4);
+  EXPECT_NEAR(mahalanobis_squared(v, mu, p, scratch), 4.0, 1e-12);
 }
 
 }  // namespace
