@@ -8,8 +8,9 @@
 //     and one constant column;
 //   * degenerate shapes — n = 3, n = 20 (LSCP's local region and the
 //     largest neighbour count clamp to n − 1), all rows identical (LOF's
-//     infinite-lrd path), and a constant column (a singular covariance,
-//     held off by MCD's ridge).
+//     infinite-lrd path), a constant column (a singular covariance, held
+//     off by MCD's ridge), and near-duplicate rows (SOS's bandwidth search
+//     runs out of steps).
 // Each shape carries XGBOD labels: running(1)/finished(0) for snapshots, an
 // alternating pattern otherwise.
 #pragma once
@@ -98,6 +99,15 @@ inline std::vector<Shape> degenerate_shapes() {
   Shape constant = gaussian("constant_column", 50, 304);
   for (std::size_t i = 0; i < constant.x.rows(); ++i) constant.x(i, 1) = -2.0;
   out.push_back(std::move(constant));
+  // Six identical rows and one 1e-9 away: the duplicates' perplexity search
+  // never converges (five tied neighbours keep the entropy above target),
+  // and the near row's affinity still moves with the bandwidth.
+  Shape near = gaussian("near_duplicates", 20, 305);
+  for (std::size_t i = 0; i < 7; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) near.x(i, j) = 0.0;
+  }
+  near.x(6, 0) = 1e-9;
+  out.push_back(std::move(near));
   return out;
 }
 

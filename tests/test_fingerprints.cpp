@@ -282,8 +282,8 @@ TEST(Fingerprints, MatchGolden) {
 TEST(Fingerprints, DetectorScoreBits) {
   const bool regen = regen_requested();
   const auto actual = compute_scores();
-  // 14 detectors × 5 regular shapes + 7 × 4 degenerate shapes.
-  ASSERT_EQ(actual.size(), 14u * 5u + 7u * 4u);
+  // 14 detectors × 5 regular shapes + 7 × 5 degenerate shapes.
+  ASSERT_EQ(actual.size(), 14u * 5u + 7u * 5u);
   check_golden("detector_scores.json", actual, regen);
 }
 
