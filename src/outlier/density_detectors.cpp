@@ -33,9 +33,8 @@ void SosDetector::fit(const Matrix& x) {
   // Per-point bandwidth beta_i (=1/2σ²) via binary search so that the
   // affinity distribution has the requested perplexity. One row at a time:
   // row i's distances, then its binding probabilities b_ij, each folded into
-  // log_p[j] as the row finishes — the rows ascend, so every log_p[j] sums
-  // its terms in the same order a column walk of the full n×n binding matrix
-  // would.
+  // log_p[j] as the row finishes, so every log_p[j] adds its terms in
+  // ascending i.
   const double target_entropy = std::log2(std::min(
       perplexity_, static_cast<double>(n - 1)));
   std::vector<double> neg_sq(n), aff(n, 0.0), log_p(n, 0.0);

@@ -8,8 +8,8 @@
 
 namespace nurd::outlier {
 
-// All four detectors standardize features: they are distance/angle based and
-// the trace features have wildly different native scales.
+// The neighbourhood detectors standardize features: they are distance/angle
+// based and the trace features have wildly different native scales.
 Matrix standardized(const Matrix& x) {
   StandardScaler scaler;
   return scaler.fit_transform(x);

@@ -189,23 +189,13 @@ Entries compute_scores() {
 // Every `"field": "value"` pair on `line` after position `from`.
 Entry quoted_fields(const std::string& line, std::size_t from) {
   Entry out;
-  std::size_t at = from;
-  while (true) {
-    const auto k_open = line.find('"', at);
-    if (k_open == std::string::npos) break;
+  for (auto k_open = line.find('"', from); k_open != std::string::npos;) {
     const auto k_close = line.find('"', k_open + 1);
-    const auto colon = line.find(':', k_close);
-    const auto v_open = line.find_first_not_of(' ', colon + 1);
-    if (v_open == std::string::npos || line[v_open] != '"') {
-      // Unquoted (informational) value: skip to the next field.
-      at = line.find(',', colon);
-      if (at == std::string::npos) break;
-      continue;
-    }
+    const auto v_open = line.find('"', k_close + 1);
     const auto v_close = line.find('"', v_open + 1);
     out[line.substr(k_open + 1, k_close - k_open - 1)] =
         line.substr(v_open + 1, v_close - v_open - 1);
-    at = v_close + 1;
+    k_open = line.find('"', v_close + 1);
   }
   return out;
 }
